@@ -113,7 +113,7 @@ def _eprint(*lines: str) -> None:
 
 def _cmd_verify(args):
     code, inputs = _code_inputs(args)
-    report = kl_verify(code, args.weight, threads=args.threads)
+    report = kl_verify(code, args.weight)
     payload = {
         "passed": report.passed,
         "pure": report.pure,
@@ -139,7 +139,7 @@ def _cmd_verify(args):
 def _cmd_distance(args):
     code, inputs = _code_inputs(args)
     max_d = args.max if args.max is not None else code.n
-    found = distance(code, max_d, threads=args.threads)
+    found = distance(code, max_d)
     payload = {
         "passed": True,
         "distance": found,
@@ -148,7 +148,7 @@ def _cmd_distance(args):
         "counts": {"codewords": code.size},
     }
     if found is not None:
-        witness = kl_verify(code, found, threads=args.threads)
+        witness = kl_verify(code, found)
         payload["violations"] = _violation_rows(witness)
         payload["counts"]["violations"] = witness.violation_count
     pretty = [
@@ -233,13 +233,13 @@ def _cmd_enumerator(args):
     payload = {"passed": True, "counts": {"codewords": code.size}}
     pretty = []
     if args.method in ("fast", "brute"):
-        result = weight_enumerator(code, args.method, threads=args.threads)
+        result = weight_enumerator(code, args.method)
         payload["method"] = args.method
         payload["a"] = list(result.a)
         payload["sum"] = sum(result.a)
     else:
-        fast = weight_enumerator(code, "fast", threads=args.threads)
-        brute = weight_enumerator(code, "brute", threads=args.threads)
+        fast = weight_enumerator(code, "fast")
+        brute = weight_enumerator(code, "brute")
         payload["method"] = "both"
         payload["a"] = list(fast.a)
         payload["brute_a"] = list(brute.a)
@@ -305,14 +305,14 @@ def _cmd_paper_demo(args):
     code = the_9_12_3()
     checks = []
 
-    report = kl_verify(code, 2, threads=args.threads)
+    report = kl_verify(code, 2)
     checks.append({
         "name": "error conditions hold to weight 2",
         "passed": report.passed and report.pure,
         "detail": f"passed={report.passed} pure={report.pure}",
     })
 
-    found = distance(code, 3, threads=args.threads)
+    found = distance(code, 3)
     checks.append({
         "name": "distance is exactly 3",
         "passed": found == 3,
@@ -335,7 +335,7 @@ def _cmd_paper_demo(args):
     })
 
     fast = weight_enumerator(code, "fast")
-    brute = weight_enumerator(code, "brute", threads=args.threads)
+    brute = weight_enumerator(code, "brute")
     checks.append({
         "name": "weight enumerator methods agree",
         "passed": fast == brute,
@@ -364,22 +364,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cwskit {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, code=False, graph=False, threads=False):
+    def common(p, code=False, graph=False):
         if code:
             p.add_argument("--code", help="code file (default: the builtin ((9,12,3)) code)")
         if graph:
             p.add_argument("--graph", help="graph file (default: the builtin 9-vertex loop)")
-        if threads:
-            p.add_argument("--threads", type=int, default=1, help="worker threads")
         p.add_argument("--pretty", action="store_true", help="human summary on stderr")
 
     p = sub.add_parser("verify", help="check the error conditions up to a weight")
-    common(p, code=True, threads=True)
+    common(p, code=True)
     p.add_argument("--weight", type=int, default=2, help="maximum error weight")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("distance", help="first error weight that breaks the conditions")
-    common(p, code=True, threads=True)
+    common(p, code=True)
     p.add_argument("--max", type=int, default=None, help="largest weight to scan")
     p.set_defaults(handler=_cmd_distance)
 
@@ -397,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_projector)
 
     p = sub.add_parser("enumerator", help="weight enumerator of the code projector")
-    common(p, code=True, threads=True)
+    common(p, code=True)
     p.add_argument("--method", choices=("fast", "brute", "both"), default="both")
     p.set_defaults(handler=_cmd_enumerator)
 
@@ -414,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("paper-demo", help="run the full ((9,12,3)) reproduction")
-    common(p, threads=True)
+    common(p)
     p.set_defaults(handler=_cmd_paper_demo)
 
     return parser

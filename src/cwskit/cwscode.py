@@ -6,11 +6,22 @@ built-in instance is the nonadditive ((9,12,3)) code on the 9-vertex
 loop, whose twelve subsets are listed below.
 
 Two verification routes live here.  `kl_verify` evaluates every matrix
-element <w_i| e |w_j> through exact Pauli products and demands the
-scalar-matrix form c_e * Identity.  `proof_check` never touches matrix
-elements: it reduces single- and two-qubit errors to phase-flip patterns
-and intersects them with the codeword transition set.  The two must
-agree, and tests hold them to that.
+element <w_i| e |w_j> and demands the scalar-matrix form c_e * Identity.
+It does so in closed form on bit masks: with s the stabilizer element
+sharing e's x mask and D = z(e) + z(s) over GF(2) the induced phase-flip
+pattern,
+
+    <w_i| e |w_j> = (-1)**|x(e) & c_j| * <G| Z_D e s |G>   if c_i + c_j = D,
+
+and 0 otherwise, where Z_D e s is a pure phase i**r.  So the diagonal is
+i**r (-1)**|x(e) & c| when D is empty, and the only non-zero off-diagonal
+elements sit on the codeword pairs whose transition is D.
+`matrix_element` computes one element through explicit Pauli products
+and the graph-state overlap; it is the reference the scan is tested
+against.  `proof_check` never touches matrix elements: it reduces
+single- and two-qubit errors to phase-flip patterns and intersects them
+with the codeword transition set.  The routes must agree, and tests hold
+them to that.
 """
 
 from __future__ import annotations
@@ -21,9 +32,8 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from ._masks import mask_of, vertices_of
-from ._parallel import run_chunks
 from .graphstate import Graph, is_loop_graph, loop_graph, overlap, _stabilizer_table
-from .pauli import PauliOperator, enumerate_errors, mul, z_on
+from .pauli import PauliOperator, _product_phase, enumerate_errors, mul, phase_value, z_on
 
 # The twelve codeword subsets of the ((9,12,3)) loop code.  The last six
 # are the first six shifted by {1,4,7}, which is why pairwise transitions
@@ -128,31 +138,38 @@ def _scan_errors(code: CwsCode, errors, collect: bool):
     """Check M_e = c_e * I for each error; returns (violations, pure).
 
     With collect false the scan stops at the first violation, recording a
-    single witness.  The reference scalar is M[1][1].
+    single witness.  The reference scalar is M[1][1].  Elements come from
+    the closed form in the module docstring.
     """
     table = _stabilizer_table(code.graph)
     pairs_by_diff = _diff_pair_map(code)
-    k = code.size
+    masks = _codeword_masks(code)
     violations: list[KLViolation] = []
     pure = True
     for e in errors:
-        z_stab, _ = table[e.x]
+        z_stab, s_phase = table[e.x]
         diff = e.z ^ z_stab
         if diff == 0:
-            values = [matrix_element(code, i, i, e) for i in range(1, k + 1)]
-            c = values[0]
-            if c != 0:
-                pure = False
-            for i, v in enumerate(values, start=1):
-                if v != c:
-                    violations.append(KLViolation(e, i, i, v))
-                    if not collect:
-                        return violations, pure
+            # every diagonal element is a unit, so c_e != 0; entries break
+            # the scalar form where their sign differs from M[1][1]'s
+            pure = False
+            first = (e.x & masks[0]).bit_count() & 1
+            pairs = [
+                (i, i)
+                for i, c in enumerate(masks, start=1)
+                if (e.x & c).bit_count() & 1 != first
+            ]
         else:
-            for i, j in pairs_by_diff.get(diff, ()):
-                violations.append(KLViolation(e, i, j, matrix_element(code, i, j, e)))
-                if not collect:
-                    return violations, pure
+            pairs = pairs_by_diff.get(diff, ())
+        if not pairs:
+            continue
+        # Z_diff e s has no letters left, so only its phase i**r remains
+        r = e.phase + s_phase + _product_phase(0, diff, e.x, e.z)
+        for i, j in pairs:
+            sign = (e.x & masks[j - 1]).bit_count() & 1
+            violations.append(KLViolation(e, i, j, phase_value(r + 2 * sign)))
+            if not collect:
+                return violations, pure
     return violations, pure
 
 
@@ -161,7 +178,6 @@ def kl_verify(
     max_weight: int,
     *,
     violation_cap: int = 1000,
-    threads: int = 1,
 ) -> KLReport:
     """Exhaustive scalar-matrix check over all errors of weight 1..max_weight.
 
@@ -175,11 +191,9 @@ def kl_verify(
     all_violations: list[KLViolation] = []
     pure = True
     for d in range(1, max_weight + 1):
-        errors = list(enumerate_errors(code.n, d))
-        results = run_chunks(lambda chunk: _scan_errors(code, chunk, True), errors, threads)
-        for violations, chunk_pure in results:
-            all_violations.extend(violations)
-            pure = pure and chunk_pure
+        violations, weight_pure = _scan_errors(code, list(enumerate_errors(code.n, d)), True)
+        all_violations.extend(violations)
+        pure = pure and weight_pure
     count = len(all_violations)
     capped = count > violation_cap
     return KLReport(
@@ -192,7 +206,7 @@ def kl_verify(
     )
 
 
-def distance(code: CwsCode, max_d: int, *, threads: int = 1) -> int | None:
+def distance(code: CwsCode, max_d: int) -> int | None:
     """Smallest weight whose error scan breaks the scalar-matrix form.
 
     Returns None when every weight up to max_d scans clean, meaning the
@@ -201,9 +215,8 @@ def distance(code: CwsCode, max_d: int, *, threads: int = 1) -> int | None:
     if not 1 <= max_d <= code.n:
         raise ValueError(f"max_d outside 1..{code.n}")
     for d in range(1, max_d + 1):
-        errors = list(enumerate_errors(code.n, d))
-        results = run_chunks(lambda chunk: _scan_errors(code, chunk, False), errors, threads)
-        if any(violations for violations, _ in results):
+        violations, _ = _scan_errors(code, list(enumerate_errors(code.n, d)), False)
+        if violations:
             return d
     return None
 
@@ -294,11 +307,15 @@ def error_patterns(g: Graph) -> dict[int, frozenset[frozenset[int]]]:
     }
 
 
+def _transition_masks(code: CwsCode) -> set[int]:
+    """Codeword-mask xors over all unordered pairs of distinct codewords."""
+    masks = _codeword_masks(code)
+    return {masks[i] ^ masks[j] for i in range(len(masks)) for j in range(i + 1, len(masks))}
+
+
 def transition_set(code: CwsCode) -> frozenset[frozenset[int]]:
     """Symmetric differences of all unordered codeword pairs."""
-    masks = _codeword_masks(code)
-    out = {masks[i] ^ masks[j] for i in range(len(masks)) for j in range(i + 1, len(masks))}
-    return frozenset(vertices_of(m) for m in out)
+    return frozenset(vertices_of(m) for m in _transition_masks(code))
 
 
 def reduced_transitions(code: CwsCode) -> frozenset[frozenset[int]]:
@@ -343,8 +360,4 @@ def proof_check(code: CwsCode) -> bool:
     if not is_loop_graph(code.graph):
         raise ValueError("the counting argument is stated for loop graphs")
     patterns = _pattern_masks(code.graph, 2)
-    masks = _codeword_masks(code)
-    transitions = {
-        masks[i] ^ masks[j] for i in range(len(masks)) for j in range(i + 1, len(masks))
-    }
-    return 0 not in patterns and not (transitions & patterns)
+    return 0 not in patterns and not (_transition_masks(code) & patterns)

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from ._masks import mask_of, vertices_of
-from .pauli import PauliOperator, identity, mul, phase_value
+from .pauli import PauliOperator, _product_phase, identity, mul, phase_value
 
 _DENSE_LIMIT = 14
 
@@ -141,12 +141,13 @@ def _stabilizer_table(g: Graph) -> list[tuple[int, int]]:
     if g.n > _DENSE_LIMIT:
         raise ValueError("stabilizer table limited to 14 vertices")
     table: list[tuple[int, int]] = [(0, 0)]
-    elements: list[PauliOperator] = [identity(g.n)]
     for m in range(1, 1 << g.n):
-        low = (m & -m).bit_length()  # 1-based vertex of the lowest set bit
-        p = mul(elements[m & (m - 1)], vertex_stabilizer(g, low))
-        elements.append(p)
-        table.append((p.z, p.phase))
+        # element(m) = element(m without its lowest bit) * G_low
+        rest = m & (m - 1)
+        bit = m & -m
+        z, phase = table[rest]
+        row = g.rows[bit.bit_length() - 1]
+        table.append((z ^ row, (phase + _product_phase(rest, z, bit, row)) % 4))
     return table
 
 

@@ -20,10 +20,9 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from ._parallel import run_chunks
 from .cwscode import CwsCode, _codeword_masks, matrix_element, the_9_12_3
 from .graphstate import DenseState, apply_pauli, loop_graph, stabilizer_element, _stabilizer_table
-from .pauli import PauliOperator, enumerate_errors
+from .pauli import PauliOperator, _product_phase, enumerate_errors
 
 _Scalar = Union[int, Fraction, "Coeff"]
 
@@ -139,27 +138,14 @@ def sum_scale(x: PauliSum, c: _Scalar) -> PauliSum:
 
 
 def sum_mul(x: PauliSum, y: PauliSum) -> PauliSum:
-    """Exact product, expanding all pairwise Pauli products.
-
-    The phase arithmetic matches `pauli.mul`: one i per Y letter on each
-    side, a sign per Z-over-X hop, minus one i per Y in the result key.
-    """
+    """Exact product, expanding all pairwise Pauli products."""
     if x.n != y.n:
         raise ValueError("qubit counts differ")
     acc: dict[tuple[int, int], Coeff] = {}
     for (x1, z1), c1 in x.terms:
-        y1 = (x1 & z1).bit_count()
         for (x2, z2), c2 in y.terms:
-            xm = x1 ^ x2
-            zm = z1 ^ z2
-            k = (
-                y1
-                + (x2 & z2).bit_count()
-                + 2 * (z1 & x2).bit_count()
-                - (xm & zm).bit_count()
-            ) % 4
-            key = (xm, zm)
-            term = (c1 * c2).rotated(k)
+            key = (x1 ^ x2, z1 ^ z2)
+            term = (c1 * c2).rotated(_product_phase(x1, z1, x2, z2))
             acc[key] = acc[key] + term if key in acc else term
     return PauliSum(x.n, tuple(acc.items()))
 
@@ -254,6 +240,11 @@ def build_projector() -> PauliSum:
     return sum_scale(p, Fraction(1, 1 << 10))
 
 
+def _signed_count(u: int, masks: tuple[int, ...]) -> int:
+    """Sum over codewords c of (-1)**|u & c|."""
+    return sum(-1 if (u & c).bit_count() & 1 else 1 for c in masks)
+
+
 def projector_from_codewords(code: CwsCode) -> PauliSum:
     """Sum of codeword projectors, expanded in the stabilizer basis.
 
@@ -267,7 +258,7 @@ def projector_from_codewords(code: CwsCode) -> PauliSum:
     scale = Fraction(1, 1 << n)
     terms = []
     for u in range(1 << n):
-        t = sum(-1 if (u & c).bit_count() & 1 else 1 for c in masks)
+        t = _signed_count(u, masks)
         if t:
             z, ph = table[u]
             terms.append(((u, z), coeff(t * scale).rotated(ph)))
@@ -304,7 +295,7 @@ class EnumeratorResult:
     a: tuple[int, ...]
 
 
-def weight_enumerator(code: CwsCode, method: str = "fast", *, threads: int = 1) -> EnumeratorResult:
+def weight_enumerator(code: CwsCode, method: str = "fast") -> EnumeratorResult:
     """The integer vector (A_0, ..., A_n) for the code projector.
 
     fast streams the 2**n stabilizer elements and squares their signed
@@ -319,8 +310,7 @@ def weight_enumerator(code: CwsCode, method: str = "fast", *, threads: int = 1) 
         a = [0] * (n + 1)
         for u in range(1 << n):
             z, _ = table[u]
-            t = sum(-1 if (u & c).bit_count() & 1 else 1 for c in masks)
-            a[(u | z).bit_count()] += t * t
+            a[(u | z).bit_count()] += _signed_count(u, masks) ** 2
         return EnumeratorResult(tuple(a))
     if method == "brute":
         if n > 12:
@@ -328,9 +318,9 @@ def weight_enumerator(code: CwsCode, method: str = "fast", *, threads: int = 1) 
         lookup = dict(projector_from_codewords(code).terms)
         scale = 1 << n
 
-        def tally(chunk) -> int:
-            total = 0
-            for e in chunk:
+        a = [0] * (n + 1)
+        for d in range(n + 1):
+            for e in enumerate_errors(n, d):
                 c = lookup.get((e.x, e.z))
                 if c is not None:
                     if c.im != 0:
@@ -338,12 +328,6 @@ def weight_enumerator(code: CwsCode, method: str = "fast", *, threads: int = 1) 
                     tr = c.re * scale
                     if tr.denominator != 1:
                         raise RuntimeError("error trace not an integer")
-                    total += int(tr) ** 2
-            return total
-
-        a = []
-        for d in range(n + 1):
-            errors = list(enumerate_errors(n, d))
-            a.append(sum(run_chunks(tally, errors, threads)))
+                    a[d] += int(tr) ** 2
         return EnumeratorResult(tuple(a))
     raise ValueError(f"unknown method {method!r}")

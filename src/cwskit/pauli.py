@@ -9,7 +9,9 @@ where L_a is the Hermitian single-qubit letter selected by the mask bits
 bit a-1 of a mask belongs to qubit a.  Qubit labels are 1-based on every
 public surface.  The letters obey Y = iXZ, so rewriting an operator in
 the X-before-Z normal form costs one extra factor of i per Y letter;
-that bookkeeping is confined to `mul`.
+that bookkeeping lives in the one helper `_product_phase`, which every
+mask-level product in the package (`mul`, `PauliSum` products, the
+stabilizer table, the KL scan) calls.
 
 Everything here is immutable and side-effect free.
 """
@@ -76,26 +78,27 @@ def phase_value(k: int) -> complex:
     return _PHASE_VALUES[k % 4]
 
 
-def mul(p: PauliOperator, q: PauliOperator) -> PauliOperator:
-    """Exact operator product p*q.
+def _product_phase(x1: int, z1: int, x2: int, z2: int) -> int:
+    """Exponent of i picked up when letter strings (x1, z1)(x2, z2) multiply.
 
-    Phase accounting: convert each factor to X-before-Z normal form
-    (one i per Y letter), pick up (-1) for every Z in p that hops over
-    an X in q, then convert the result back to letter form.
+    Convert each factor to X-before-Z normal form (one i per Y letter),
+    pick up (-1) for every Z in the left factor that hops over an X in
+    the right one, then convert the product back to letter form.
     """
+    return (
+        (x1 & z1).bit_count()
+        + (x2 & z2).bit_count()
+        + 2 * (z1 & x2).bit_count()
+        - ((x1 ^ x2) & (z1 ^ z2)).bit_count()
+    ) % 4
+
+
+def mul(p: PauliOperator, q: PauliOperator) -> PauliOperator:
+    """Exact operator product p*q."""
     if p.n != q.n:
         raise ValueError("qubit counts differ")
-    x = p.x ^ q.x
-    z = p.z ^ q.z
-    phase = (
-        p.phase
-        + q.phase
-        + (p.x & p.z).bit_count()
-        + (q.x & q.z).bit_count()
-        + 2 * ((p.z & q.x).bit_count())
-        - (x & z).bit_count()
-    ) % 4
-    return PauliOperator(p.n, x, z, phase)
+    phase = p.phase + q.phase + _product_phase(p.x, p.z, q.x, q.z)
+    return PauliOperator(p.n, p.x ^ q.x, p.z ^ q.z, phase)
 
 
 def adjoint(p: PauliOperator) -> PauliOperator:

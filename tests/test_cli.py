@@ -78,6 +78,12 @@ def test_unknown_subcommand_exits_two(capsys):
     assert info.value.code == 2
 
 
+def test_removed_threads_option_exits_two(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--threads", "2"])
+    assert info.value.code == 2
+
+
 def test_distance_reports_three(capsys):
     code, doc, _ = run(capsys, "distance", "--max", "4")
     assert code == 0
@@ -119,7 +125,7 @@ def test_projector_verdict(capsys):
 
 
 def test_enumerator_both_methods(capsys):
-    code, doc, _ = run(capsys, "enumerator", "--method", "both", "--threads", "2")
+    code, doc, _ = run(capsys, "enumerator", "--method", "both")
     assert code == 0
     assert doc["payload"]["a"] == [144, 0, 0, 0, 96, 0, 1536, 3072, 1296, 0]
     assert doc["payload"]["brute_a"] == doc["payload"]["a"]

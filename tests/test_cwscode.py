@@ -9,6 +9,8 @@ import pytest
 from cwskit.cwscode import (
     CODEWORDS_9_12_3,
     CwsCode,
+    KLReport,
+    KLViolation,
     distance,
     error_pattern_set,
     error_patterns,
@@ -166,11 +168,45 @@ def test_degenerate_code_passes_without_purity():
     assert not report.pure
 
 
-def test_kl_verify_threads_do_not_change_the_report():
-    code = CwsCode(loop_graph(9), CODEWORDS_9_12_3 + (frozenset({1}),))
-    assert kl_verify(code, 2, threads=3) == kl_verify(code, 2)
-    good = the_9_12_3()
-    assert kl_verify(good, 2, threads=4) == kl_verify(good, 2)
+def test_kl_scan_matches_matrix_elements_on_random_graphs():
+    # Expected reports are built from matrix_element alone: diagonal
+    # entries that differ from M[1][1] and non-zero off-diagonal entries,
+    # in error-enumeration order, then row-major order within each error.
+    rng = random.Random(2024)
+    for n in (4, 5, 6, 7, 8, 9, 5, 7):
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        g = Graph.from_edges(n, [pq for pq in pairs if rng.random() < 0.5])
+        masks = rng.sample(range(1 << n), rng.randint(2, 5))
+        words = [frozenset(v for v in range(1, n + 1) if m >> (v - 1) & 1) for m in masks]
+        code = CwsCode(g, tuple(words))
+        k = code.size
+        violations: list = []
+        pure = True
+        first_failing = None
+        for w in range(1, 4):
+            for e in enumerate_errors(n, w):
+                m = [
+                    [matrix_element(code, i, j, e) for j in range(1, k + 1)]
+                    for i in range(1, k + 1)
+                ]
+                c = m[0][0]
+                pure = pure and c == 0
+                for i in range(k):
+                    for j in range(k):
+                        if m[i][j] != (c if i == j else 0):
+                            violations.append(KLViolation(e, i + 1, j + 1, m[i][j]))
+            if violations and first_failing is None:
+                first_failing = w
+            expected = KLReport(
+                checked_weight=w,
+                passed=not violations,
+                pure=pure and not violations,
+                violations=tuple(violations[:1000]),
+                violation_count=len(violations),
+                violations_capped=len(violations) > 1000,
+            )
+            assert kl_verify(code, w) == expected, (g, words, w)
+        assert distance(code, 3) == first_failing
 
 
 def test_violation_cap_keeps_exact_count():

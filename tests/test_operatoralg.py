@@ -225,7 +225,6 @@ def test_weight_enumerator_brute_agrees():
     code = the_9_12_3()
     brute = oa.weight_enumerator(code, "brute")
     assert brute.a == EXPECTED_ENUMERATOR
-    assert oa.weight_enumerator(code, "brute", threads=4) == brute
 
 
 def test_weight_enumerator_random_codes():
