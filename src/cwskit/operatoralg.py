@@ -2,9 +2,12 @@
 
 A `PauliSum` maps phase-free Pauli keys (mask pairs) to exact complex
 rational coefficients; any i-power carried by an operator is folded into
-its coefficient, so equal sums compare equal structurally.  Every
-coefficient arising here is dyadic (denominators are powers of two), and
-`Fraction` keeps the arithmetic exact without caring.
+its coefficient, so equal sums compare equal structurally.  Products run
+on integers: each factor is rescaled once to Gaussian-integer numerators
+over the lcm of its denominators (a power of two for every sum the
+package builds), the pairwise products accumulate as plain int pairs,
+and `Coeff` appears only where terms enter and leave.  The result is
+exact for any rational coefficients.
 
 The code projector is built twice on purpose: once from the published
 product of stabilizer-element factors, once as the sum of codeword
@@ -16,13 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from typing import Iterable, Union
 
 import numpy as np
 
 from .cwscode import CwsCode, _codeword_masks, matrix_element, the_9_12_3
 from .graphstate import DenseState, apply_pauli, loop_graph, stabilizer_element, _stabilizer_table
-from .pauli import PauliOperator, _product_phase, enumerate_errors
+from .pauli import PauliOperator, _product_phase
+# unused since brute walks masks; bench/tracing.py patches operatoralg.enumerate_errors
+from .pauli import enumerate_errors  # noqa: F401
 
 _Scalar = Union[int, Fraction, "Coeff"]
 
@@ -71,6 +77,9 @@ class Coeff:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a real Coeff equals its int or Fraction value, so it hashes like it
+        if self.im == 0:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __complex__(self) -> complex:
@@ -85,9 +94,13 @@ class Coeff:
 
 
 def coeff(value: _Scalar) -> Coeff:
+    """value as a Coeff; only int, Fraction and Coeff are exact inputs."""
     if isinstance(value, Coeff):
         return value
-    return Coeff(Fraction(value), Fraction(0))
+    if isinstance(value, (int, Fraction)):
+        return Coeff(Fraction(value), Fraction(0))
+    # a float would silently become a binary fraction, a complex would lose i
+    raise TypeError(f"coefficient must be int, Fraction or Coeff, not {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -107,6 +120,7 @@ class PauliSum:
         for (x, z), c in self.terms:
             if not 0 <= x <= full or not 0 <= z <= full:
                 raise ValueError(f"mask outside {self.n}-qubit range")
+            c = coeff(c)
             key = (x, z)
             merged[key] = merged[key] + c if key in merged else c
         canon = tuple(sorted((k, c) for k, c in merged.items() if c))
@@ -137,17 +151,45 @@ def sum_scale(x: PauliSum, c: _Scalar) -> PauliSum:
     return PauliSum(x.n, tuple((k, v * s) for k, v in x.terms))
 
 
+def _numerators(x: PauliSum) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """(den, [(x, z, re, im)]): x's coefficients as integers over one denominator."""
+    den = lcm(*(d for _, c in x.terms for d in (c.re.denominator, c.im.denominator)))
+    return den, [
+        (xm, zm, c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
+        for (xm, zm), c in x.terms
+    ]
+
+
 def sum_mul(x: PauliSum, y: PauliSum) -> PauliSum:
     """Exact product, expanding all pairwise Pauli products."""
     if x.n != y.n:
         raise ValueError("qubit counts differ")
-    acc: dict[tuple[int, int], Coeff] = {}
-    for (x1, z1), c1 in x.terms:
-        for (x2, z2), c2 in y.terms:
+    dx, xs = _numerators(x)
+    dy, ys = _numerators(y)
+    acc: dict[tuple[int, int], list[int]] = {}
+    for x1, z1, a1, b1 in xs:
+        for x2, z2, a2, b2 in ys:
+            re = a1 * a2 - b1 * b2
+            im = a1 * b2 + b1 * a2
+            k = _product_phase(x1, z1, x2, z2)
+            if k == 1:
+                re, im = -im, re
+            elif k == 2:
+                re, im = -re, -im
+            elif k == 3:
+                re, im = im, -re
             key = (x1 ^ x2, z1 ^ z2)
-            term = (c1 * c2).rotated(_product_phase(x1, z1, x2, z2))
-            acc[key] = acc[key] + term if key in acc else term
-    return PauliSum(x.n, tuple(acc.items()))
+            slot = acc.get(key)
+            if slot is None:
+                acc[key] = [re, im]
+            else:
+                slot[0] += re
+                slot[1] += im
+    den = dx * dy
+    return PauliSum(x.n, tuple(
+        (key, Coeff(Fraction(re, den), Fraction(im, den)))
+        for key, (re, im) in acc.items() if re or im
+    ))
 
 
 def adjoint(x: PauliSum) -> PauliSum:
@@ -300,8 +342,9 @@ def weight_enumerator(code: CwsCode, method: str = "fast") -> EnumeratorResult:
 
     fast streams the 2**n stabilizer elements and squares their signed
     codeword counts; brute expands the projector and sums Tr(P E)**2
-    over every Hermitian error E of each weight.  Both are exact and
-    must agree.
+    over every Hermitian error E, walking all 4**n (x, z) mask pairs
+    and binning each by its weight |x | z|.  Both are exact and must
+    agree.
     """
     n = code.n
     if method == "fast":
@@ -319,15 +362,15 @@ def weight_enumerator(code: CwsCode, method: str = "fast") -> EnumeratorResult:
         scale = 1 << n
 
         a = [0] * (n + 1)
-        for d in range(n + 1):
-            for e in enumerate_errors(n, d):
-                c = lookup.get((e.x, e.z))
+        for ex in range(1 << n):
+            for ez in range(1 << n):
+                c = lookup.get((ex, ez))
                 if c is not None:
                     if c.im != 0:
                         raise RuntimeError("projector coefficient not real")
                     tr = c.re * scale
                     if tr.denominator != 1:
                         raise RuntimeError("error trace not an integer")
-                    a[d] += int(tr) ** 2
+                    a[(ex | ez).bit_count()] += int(tr) ** 2
         return EnumeratorResult(tuple(a))
     raise ValueError(f"unknown method {method!r}")

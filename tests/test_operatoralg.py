@@ -9,6 +9,7 @@ import pytest
 from cwskit import operatoralg as oa
 from cwskit.cwscode import CwsCode, _codeword_masks, the_9_12_3
 from cwskit.graphstate import (
+    Graph,
     apply_pauli,
     dense_matrix,
     loop_graph,
@@ -28,9 +29,10 @@ def dense_sum(x):
 
 
 def random_coeff(rng):
+    # odd denominators too, so products exercise the lcm rescaling
     return oa.Coeff(
-        Fraction(rng.randint(-3, 3), rng.choice((1, 2, 4))),
-        Fraction(rng.randint(-2, 2), rng.choice((1, 2))),
+        Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 4, 5, 7))),
+        Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3, 5))),
     )
 
 
@@ -61,6 +63,25 @@ def test_coeff_arithmetic():
     assert complex(a) == 0.5 - 3j
 
 
+def test_coeff_hash_agrees_with_equality():
+    assert len({oa.Coeff(Fraction(3)), 3, Fraction(3)}) == 1
+    assert hash(oa.Coeff(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert len({oa.Coeff(Fraction(1), Fraction(1)), oa.Coeff(Fraction(1))}) == 2
+
+
+def test_coefficients_checked_at_the_boundary():
+    s = oa.PauliSum(1, (((0, 0), 3), ((1, 0), Fraction(1, 2))))
+    assert s.terms == (((0, 0), C(3)), ((1, 0), C(Fraction(1, 2))))
+    assert all(type(c) is oa.Coeff for _, c in s.terms)
+    for bad in (0.5, 1j, "x", None):
+        with pytest.raises(TypeError):
+            oa.PauliSum(1, (((0, 0), bad),))
+        with pytest.raises(TypeError):
+            oa.coeff(bad)
+        with pytest.raises(TypeError):
+            oa.sum_scale(oa.identity_sum(1), bad)
+
+
 def test_pauli_sum_canonicalizes():
     dup = oa.PauliSum(2, (((1, 0), C(1)), ((1, 0), C(2)), ((0, 3), C(0))))
     assert dup.terms == (((1, 0), C(3)),)
@@ -79,11 +100,15 @@ def test_from_pauli_folds_phase():
 
 def test_sum_mul_matches_operator_mul():
     rng = random.Random(11)
+    scale_rng = random.Random(16)
     full = 1 << 9
     for _ in range(60):
         p = PauliOperator(9, rng.randrange(full), rng.randrange(full), rng.randrange(4))
         q = PauliOperator(9, rng.randrange(full), rng.randrange(full), rng.randrange(4))
         assert oa.sum_mul(oa.from_pauli(p), oa.from_pauli(q)) == oa.from_pauli(mul(p, q))
+        a = random_coeff(scale_rng)
+        b = random_coeff(scale_rng)
+        assert oa.sum_mul(oa.from_pauli(p, a), oa.from_pauli(q, b)) == oa.from_pauli(mul(p, q), a * b)
 
 
 def test_algebra_laws_against_dense():
@@ -229,8 +254,13 @@ def test_weight_enumerator_brute_agrees():
 
 def test_weight_enumerator_random_codes():
     rng = random.Random(14)
-    for n in (5, 6):
-        g = loop_graph(n)
+    graph_rng = random.Random(15)
+    graphs = [loop_graph(5), loop_graph(6)]
+    for n in (4, 5, 6, 7, 8):
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        graphs.append(Graph.from_edges(n, [pq for pq in pairs if graph_rng.random() < 0.5]))
+    for g in graphs:
+        n = g.n
         for _ in range(5):
             size = rng.randint(1, 4)
             masks = rng.sample(range(1 << n), size)
