@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Every subcommand writes one JSON document to standard output: tool,
-version, subcommand, the inputs it ran on (paths with content hashes,
-or builtin markers), elapsed time, and a payload.  `--pretty` adds a
+version, subcommand, the inputs it ran on (paths with the hashes of the
+bytes that were parsed, or builtin markers), elapsed time, and a
+payload.  Files are read and described by `files`.  `--pretty` adds a
 human-readable rendering on standard error without touching the JSON.
 
 Exit codes: 0 pass, 1 verification failure, 2 malformed input.
@@ -11,11 +12,9 @@ Exit codes: 0 pass, 1 verification failure, 2 malformed input.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
-from pathlib import Path
 
 from . import __version__
 from .cwscode import (
@@ -29,7 +28,9 @@ from .cwscode import (
     the_9_12_3,
     transition_set,
 )
-from .files import FileFormatError, load_code, load_graph, render_code, resolve_graph_reference
+from .files import read_code, read_graph, render_code
+# unused since `files` reads each input once; bench/tracing.py patches them here
+from .files import load_code, resolve_graph_reference  # noqa: F401
 from .graphstate import is_loop_graph, loop_graph, state_vector
 from .operatoralg import (
     adjoint,
@@ -43,38 +44,17 @@ from .pauli import PauliOperator, render_label
 from .search import SearchConfig, compatibility_search, empty_pattern_present
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _file_input(path: Path) -> dict:
-    return {"path": str(path), "sha256": _sha256(path)}
-
-
 def _code_inputs(args) -> tuple:
     """The code to work on plus its self-describing inputs block."""
     if args.code is None:
         return the_9_12_3(), {"code": {"builtin": "the_9_12_3"}}
-    path = Path(args.code)
-    code = load_code(path)
-    inputs = {"code": _file_input(path)}
-    for number, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if line.startswith("graph "):
-            kind, _ = resolve_graph_reference(line.split()[1], path.parent)
-            if kind.startswith("loop"):
-                inputs["graph"] = {"builtin": kind}
-            else:
-                inputs["graph"] = _file_input(Path(kind))
-            break
-    return code, inputs
+    return read_code(args.code)
 
 
 def _graph_inputs(args) -> tuple:
     if args.graph is None:
         return loop_graph(9), {"graph": {"builtin": "loop9"}}
-    path = Path(args.graph)
-    return load_graph(path), {"graph": _file_input(path)}
+    return read_graph(args.graph)
 
 
 def _exact_value(v: complex) -> str:
@@ -276,10 +256,11 @@ def _cmd_search(args):
     cfg = SearchConfig(
         graph=g,
         target_distance=args.distance,
-        min_size=args.min_size,
         time_budget=args.budget,
         strategy=args.strategy,
     )
+    if args.min_size < 1:
+        raise ValueError("min_size must be at least 1")
     result = compatibility_search(cfg)
     graph_ref = args.graph if args.graph is not None else f"builtin:loop{g.n}"
     code_file = render_code(CwsCode(g, result.codewords), graph_ref)
@@ -406,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="look for large codeword sets on a graph")
     common(p, graph=True)
     p.add_argument("--distance", type=int, default=3, help="target distance")
-    p.add_argument("--min-size", type=int, default=1, help="size the search should reach")
+    p.add_argument("--min-size", type=int, default=1, help="size the result must reach to pass")
     p.add_argument("--budget", type=_budget, default=60.0, help="time budget, e.g. 60s")
     p.add_argument("--strategy", choices=("bb", "greedy"), default="bb")
     p.set_defaults(handler=_cmd_search)
@@ -423,10 +404,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         payload, inputs, exit_code, pretty = args.handler(args)
-    except (FileFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # FileFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = {

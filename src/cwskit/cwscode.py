@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from ._masks import mask_of, vertices_of
 from .graphstate import Graph, is_loop_graph, loop_graph, overlap, _stabilizer_table
@@ -88,12 +87,10 @@ def the_9_12_3() -> CwsCode:
     return CwsCode(loop_graph(9), CODEWORDS_9_12_3)
 
 
-@lru_cache(maxsize=None)
 def _codeword_masks(code: CwsCode) -> tuple[int, ...]:
     return tuple(mask_of(c, code.n) for c in code.codewords)
 
 
-@lru_cache(maxsize=None)
 def _diff_pair_map(code: CwsCode) -> dict[int, tuple[tuple[int, int], ...]]:
     """Ordered off-diagonal index pairs keyed by codeword-mask xor."""
     masks = _codeword_masks(code)

@@ -9,10 +9,14 @@ a separate file.
 
 Blank lines and `#` comments are skipped everywhere.  All structural
 complaints carry the file and line they point at.
+
+`read_graph` and `read_code` open each file once and return the object
+with its inputs block, hashed from the bytes parsed; `load_*` drop it.
 """
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 from typing import Iterator
 
@@ -37,9 +41,17 @@ def _meaningful_lines(text: str) -> Iterator[tuple[int, str]]:
             yield number, line
 
 
-def load_graph(path: str | Path) -> Graph:
+def _read(path: Path) -> tuple[str, dict]:
+    """The file's text plus its inputs record, hashed from the same bytes."""
+    data = path.read_bytes()
+    return data.decode(), {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def read_graph(path: str | Path) -> tuple[Graph, dict]:
+    """The graph in a file plus its inputs block {"graph": record}."""
     path = Path(path)
-    lines = list(_meaningful_lines(path.read_text()))
+    text, record = _read(path)
+    lines = list(_meaningful_lines(text))
     if not lines:
         raise FileFormatError(path, 1, "empty graph file")
     number, header = lines[0]
@@ -63,9 +75,13 @@ def load_graph(path: str | Path) -> Graph:
         seen.add((a, b))
         edges.append((a, b))
     try:
-        return Graph.from_edges(n, edges)
+        return Graph.from_edges(n, edges), {"graph": record}
     except ValueError as exc:
         raise FileFormatError(path, lines[0][0], str(exc)) from exc
+
+
+def load_graph(path: str | Path) -> Graph:
+    return read_graph(path)[0]
 
 
 def render_graph(g: Graph) -> str:
@@ -74,18 +90,19 @@ def render_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def resolve_graph_reference(ref: str, base: Path) -> tuple[str, Graph]:
-    """Turn a code file's graph line into (kind, graph).
+def resolve_graph_reference(ref: str, base: Path) -> tuple[Graph, dict]:
+    """Turn a code file's graph line into (graph, inputs record).
 
-    kind is the builtin name `loop<k>` or the resolved file path.
+    The record is {"builtin": "loop<k>"} or the resolved file's path and hash.
     """
     if ref.startswith(_BUILTIN_PREFIX):
         suffix = ref[len(_BUILTIN_PREFIX):]
         if not suffix.isdigit():
             raise ValueError(f"bad builtin graph reference {ref!r}")
-        return ref[len("builtin:"):], loop_graph(int(suffix))
+        return loop_graph(int(suffix)), {"builtin": ref[len("builtin:"):]}
     target = (base / ref).resolve() if not Path(ref).is_absolute() else Path(ref)
-    return str(target), load_graph(target)
+    graph, inputs = read_graph(target)
+    return graph, inputs["graph"]
 
 
 def _parse_codeword_line(path: Path, number: int, line: str, n: int) -> frozenset[int]:
@@ -106,16 +123,18 @@ def _parse_codeword_line(path: Path, number: int, line: str, n: int) -> frozense
     return word
 
 
-def load_code(path: str | Path) -> CwsCode:
+def read_code(path: str | Path) -> tuple[CwsCode, dict]:
+    """The code in a file plus its inputs block {"code": record, "graph": record}."""
     path = Path(path)
-    lines = list(_meaningful_lines(path.read_text()))
+    text, record = _read(path)
+    lines = list(_meaningful_lines(text))
     if not lines:
         raise FileFormatError(path, 1, "empty code file")
     number, header = lines[0]
     if not header.startswith("graph ") or len(header.split()) != 2:
         raise FileFormatError(path, number, f"expected 'graph <ref>', got {header!r}")
     try:
-        _, graph = resolve_graph_reference(header.split()[1], path.parent)
+        graph, graph_record = resolve_graph_reference(header.split()[1], path.parent)
     except (OSError, ValueError) as exc:
         if isinstance(exc, FileFormatError):
             raise
@@ -132,7 +151,11 @@ def load_code(path: str | Path) -> CwsCode:
         codewords.append(word)
     if not codewords:
         raise FileFormatError(path, lines[0][0], "no codeword lines")
-    return CwsCode(graph, tuple(codewords))
+    return CwsCode(graph, tuple(codewords)), {"code": record, "graph": graph_record}
+
+
+def load_code(path: str | Path) -> CwsCode:
+    return read_code(path)[0]
 
 
 def render_code(code: CwsCode, graph_ref: str) -> str:

@@ -12,6 +12,11 @@ exact for any rational coefficients.
 The code projector is built twice on purpose: once from the published
 product of stabilizer-element factors, once as the sum of codeword
 projectors, and the two expansions must agree term for term.
+
+The weight enumerator A_d, the sum of Tr(P E)**2 over weight-d Paulis E,
+is derived twice too: fast from signed codeword counts, brute from the
+expanded projector, where Tr(P E) is 2**n times E's coefficient and is 0
+for every E missing from P's terms.
 """
 
 from __future__ import annotations
@@ -24,10 +29,10 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .cwscode import CwsCode, _codeword_masks, matrix_element, the_9_12_3
+from .cwscode import CwsCode, _codeword_masks, matrix_element
 from .graphstate import DenseState, apply_pauli, loop_graph, stabilizer_element, _stabilizer_table
 from .pauli import PauliOperator, _product_phase
-# unused since brute walks masks; bench/tracing.py patches operatoralg.enumerate_errors
+# unused since brute sums the projector's terms; bench/tracing.py patches it here
 from .pauli import enumerate_errors  # noqa: F401
 
 _Scalar = Union[int, Fraction, "Coeff"]
@@ -39,6 +44,11 @@ class Coeff:
 
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
+
+    def __post_init__(self) -> None:
+        for part in (self.re, self.im):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(f"Coeff parts must be int or Fraction, not {type(part).__name__}")
 
     def __add__(self, other: "Coeff") -> "Coeff":
         return Coeff(self.re + other.re, self.im + other.im)
@@ -341,10 +351,10 @@ def weight_enumerator(code: CwsCode, method: str = "fast") -> EnumeratorResult:
     """The integer vector (A_0, ..., A_n) for the code projector.
 
     fast streams the 2**n stabilizer elements and squares their signed
-    codeword counts; brute expands the projector and sums Tr(P E)**2
-    over every Hermitian error E, walking all 4**n (x, z) mask pairs
-    and binning each by its weight |x | z|.  Both are exact and must
-    agree.
+    codeword counts; brute expands the projector and sums
+    Tr(P E)**2 = (2**n c)**2 over its terms (E, c), binning each by the
+    weight |x | z| of E's masks.  Every other E has Tr(P E) = 0.  Both
+    are exact and must agree.
     """
     n = code.n
     if method == "fast":
@@ -358,19 +368,13 @@ def weight_enumerator(code: CwsCode, method: str = "fast") -> EnumeratorResult:
     if method == "brute":
         if n > 12:
             raise ValueError("brute enumeration limited to 12 qubits")
-        lookup = dict(projector_from_codewords(code).terms)
-        scale = 1 << n
-
         a = [0] * (n + 1)
-        for ex in range(1 << n):
-            for ez in range(1 << n):
-                c = lookup.get((ex, ez))
-                if c is not None:
-                    if c.im != 0:
-                        raise RuntimeError("projector coefficient not real")
-                    tr = c.re * scale
-                    if tr.denominator != 1:
-                        raise RuntimeError("error trace not an integer")
-                    a[(ex | ez).bit_count()] += int(tr) ** 2
+        for (x, z), c in projector_from_codewords(code).terms:
+            if c.im != 0:
+                raise RuntimeError("projector coefficient not real")
+            tr = c.re * (1 << n)
+            if tr.denominator != 1:
+                raise RuntimeError("error trace not an integer")
+            a[(x | z).bit_count()] += int(tr) ** 2
         return EnumeratorResult(tuple(a))
     raise ValueError(f"unknown method {method!r}")

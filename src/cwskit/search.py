@@ -27,15 +27,12 @@ _TIME_CHECK_NODES = 2048
 class SearchConfig:
     graph: Graph
     target_distance: int
-    min_size: int = 1
     time_budget: float = 60.0
     strategy: str = "bb"
 
     def __post_init__(self) -> None:
         if self.target_distance < 2:
             raise ValueError("target_distance must be at least 2")
-        if self.min_size < 1:
-            raise ValueError("min_size must be at least 1")
         if self.strategy not in ("bb", "greedy"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.time_budget <= 0:

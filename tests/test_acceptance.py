@@ -139,7 +139,7 @@ def test_criterion_6_local_stabilizers():
 
 
 def test_criterion_7_search_beats_the_stabilizer_bound():
-    cfg = SearchConfig(loop_graph(9), target_distance=3, min_size=12, time_budget=60.0)
+    cfg = SearchConfig(loop_graph(9), target_distance=3, time_budget=60.0)
     start = time.perf_counter()
     result = compatibility_search(cfg)
     elapsed = time.perf_counter() - start

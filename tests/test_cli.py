@@ -1,6 +1,9 @@
 """The command-line interface: JSON reports, exit codes, diagnostics."""
 
+import builtins
+import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,12 +34,45 @@ def test_verify_builtin_passes(capsys):
     assert doc["payload"]["checked_weight"] == 2
 
 
-def test_verify_code_file_inputs_are_hashed(capsys):
-    code, doc, _ = run(capsys, "verify", "--code", str(DATA / "code_9_12_3.code"))
-    assert code == 0
-    assert len(doc["inputs"]["code"]["sha256"]) == 64
-    assert len(doc["inputs"]["graph"]["sha256"]) == 64
-    assert doc["inputs"]["graph"]["path"].endswith("loop9.graph")
+def test_verify_code_file_inputs_are_hashed(capsys, tmp_path, monkeypatch):
+    builtin_ref = tmp_path / "builtin_ref.code"
+    builtin_ref.write_text((DATA / "code_9_12_3.code").read_text()
+                           .replace("graph loop9.graph", "graph builtin:loop9"))
+
+    def record(path):
+        return {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+
+    graph_file = DATA / "loop9.graph"
+    cases = [
+        (["verify", "--code", str(DATA / "code_9_12_3.code")],
+         {"code": record(DATA / "code_9_12_3.code"), "graph": record(graph_file)}),
+        (["verify", "--code", str(builtin_ref)],
+         {"code": record(builtin_ref), "graph": {"builtin": "loop9"}}),
+        (["patterns", "--graph", str(graph_file)], {"graph": record(graph_file)}),
+    ]
+
+    # every file the command opens, through pathlib or the open builtin
+    opened = Counter()
+    path_open, builtin_open = Path.open, builtins.open
+
+    def counting_path_open(self, *args, **kwargs):
+        opened[self.resolve()] += 1
+        return path_open(self, *args, **kwargs)
+
+    def counting_builtin_open(file, *args, **kwargs):
+        if isinstance(file, (str, Path)):
+            opened[Path(file).resolve()] += 1
+        return builtin_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_path_open)
+    monkeypatch.setattr(builtins, "open", counting_builtin_open)
+    for argv, inputs in cases:
+        opened.clear()
+        code, doc, _ = run(capsys, *argv)
+        assert code == 0
+        assert doc["inputs"] == inputs
+        files = {Path(r["path"]).resolve() for r in inputs.values() if "path" in r}
+        assert {p: opened[p] for p in files} == {p: 1 for p in files}
 
 
 def test_verify_failure_lists_violations(capsys, tmp_path):
@@ -165,6 +201,12 @@ def test_search_unreachable_min_size_exits_one(capsys):
     assert code == 1
     assert doc["payload"]["size"] == 12
     assert doc["payload"]["exhausted"]
+
+
+def test_search_min_size_below_one_exits_two(capsys):
+    code, doc, err = run(capsys, "search", "--min-size", "0")
+    assert code == 2 and doc is None
+    assert "error: min_size must be at least 1" in err
 
 
 def test_paper_demo_all_green(capsys):

@@ -115,8 +115,8 @@ def test_code_file_with_relative_graph_path(tmp_path):
 
 
 def test_resolve_builtin_reference():
-    kind, g = resolve_graph_reference("builtin:loop5", Path("."))
-    assert kind == "loop5"
+    g, record = resolve_graph_reference("builtin:loop5", Path("."))
+    assert record == {"builtin": "loop5"}
     assert g == loop_graph(5)
     with pytest.raises(ValueError):
         resolve_graph_reference("builtin:loop", Path("."))

@@ -80,6 +80,10 @@ def test_coefficients_checked_at_the_boundary():
             oa.coeff(bad)
         with pytest.raises(TypeError):
             oa.sum_scale(oa.identity_sum(1), bad)
+    # a Coeff is checked too, so a float cannot slip past the boundary inside one
+    for bad in ((0.5,), (Fraction(1, 2), 1j)):
+        with pytest.raises(TypeError):
+            oa.PauliSum(1, (((0, 0), oa.Coeff(*bad)),))
 
 
 def test_pauli_sum_canonicalizes():

@@ -37,15 +37,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(g, 1)
     with pytest.raises(ValueError):
-        SearchConfig(g, 3, min_size=0)
-    with pytest.raises(ValueError):
         SearchConfig(g, 3, strategy="anneal")
     with pytest.raises(ValueError):
         SearchConfig(g, 3, time_budget=0.0)
 
 
 def test_search_finds_a_certified_twelve_word_code():
-    r = compatibility_search(SearchConfig(loop_graph(9), 3, min_size=12))
+    r = compatibility_search(SearchConfig(loop_graph(9), 3))
     assert r.size == 12
     assert r.certified
     assert r.exhausted
@@ -103,7 +101,7 @@ def test_tiny_budget_reports_not_exhausted():
 def test_triangle_collapses_to_the_empty_word():
     g = loop_graph(3)
     assert empty_pattern_present(g, 2)
-    r = compatibility_search(SearchConfig(g, 3, min_size=2))
+    r = compatibility_search(SearchConfig(g, 3))
     assert r.codewords == (frozenset(),)
     assert r.size == 1
     assert r.certified
