@@ -77,7 +77,7 @@ def _budget(text: str) -> float:
         value = float(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad duration {text!r}")
-    if value <= 0:
+    if not value > 0:  # also rejects nan
         raise argparse.ArgumentTypeError("duration must be positive")
     return value
 

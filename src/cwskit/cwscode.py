@@ -16,12 +16,14 @@ pattern,
 and 0 otherwise, where Z_D e s is a pure phase i**r.  So the diagonal is
 i**r (-1)**|x(e) & c| when D is empty, and the only non-zero off-diagonal
 elements sit on the codeword pairs whose transition is D.
-`matrix_element` computes one element through explicit Pauli products
-and the graph-state overlap; it is the reference the scan is tested
-against.  `proof_check` never touches matrix elements: it reduces
-single- and two-qubit errors to phase-flip patterns and intersects them
-with the codeword transition set.  The routes must agree, and tests hold
-them to that.
+The scans take each error as its (x, z) mask pair from
+`pauli._error_masks`.  A `PauliOperator` appears only in reports, one
+per listed violation, and in `matrix_element`, which computes one
+element through explicit Pauli products and the graph-state overlap; it
+is the reference the scan is tested against.  `proof_check` never
+touches matrix elements: it reduces single- and two-qubit errors to
+phase-flip patterns and intersects them with the codeword transition
+set.  The routes must agree, and tests hold them to that.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from typing import NamedTuple
 
 from ._masks import mask_of, vertices_of
 from .graphstate import Graph, is_loop_graph, loop_graph, overlap, _stabilizer_table
-from .pauli import PauliOperator, _product_phase, enumerate_errors, mul, phase_value, z_on
+from .pauli import PauliOperator, _error_masks, _product_phase, mul, phase_value, z_on
+# unused since the scans take (x, z) masks; bench/tracing.py patches it here
+from .pauli import enumerate_errors  # noqa: F401
 
 # The twelve codeword subsets of the ((9,12,3)) loop code.  The last six
 # are the first six shifted by {1,4,7}, which is why pairwise transitions
@@ -134,9 +138,11 @@ class KLReport:
 def _scan_errors(code: CwsCode, errors, collect: bool):
     """Check M_e = c_e * I for each error; returns (violations, pure).
 
-    With collect false the scan stops at the first violation, recording a
-    single witness.  The reference scalar is M[1][1].  Elements come from
-    the closed form in the module docstring.
+    errors is a list of phase-free (x, z) mask pairs, and each violation
+    carries its pair as `error`.  With collect false the scan stops at
+    the first violation, recording a single witness.  The reference
+    scalar is M[1][1].  Elements come from the closed form in the module
+    docstring.
     """
     table = _stabilizer_table(code.graph)
     pairs_by_diff = _diff_pair_map(code)
@@ -144,26 +150,27 @@ def _scan_errors(code: CwsCode, errors, collect: bool):
     violations: list[KLViolation] = []
     pure = True
     for e in errors:
-        z_stab, s_phase = table[e.x]
-        diff = e.z ^ z_stab
+        ex, ez = e
+        z_stab, s_phase = table[ex]
+        diff = ez ^ z_stab
         if diff == 0:
             # every diagonal element is a unit, so c_e != 0; entries break
             # the scalar form where their sign differs from M[1][1]'s
             pure = False
-            first = (e.x & masks[0]).bit_count() & 1
+            first = (ex & masks[0]).bit_count() & 1
             pairs = [
                 (i, i)
                 for i, c in enumerate(masks, start=1)
-                if (e.x & c).bit_count() & 1 != first
+                if (ex & c).bit_count() & 1 != first
             ]
         else:
             pairs = pairs_by_diff.get(diff, ())
         if not pairs:
             continue
         # Z_diff e s has no letters left, so only its phase i**r remains
-        r = e.phase + s_phase + _product_phase(0, diff, e.x, e.z)
+        r = s_phase + _product_phase(0, diff, ex, ez)
         for i, j in pairs:
-            sign = (e.x & masks[j - 1]).bit_count() & 1
+            sign = (ex & masks[j - 1]).bit_count() & 1
             violations.append(KLViolation(e, i, j, phase_value(r + 2 * sign)))
             if not collect:
                 return violations, pure
@@ -185,19 +192,24 @@ def kl_verify(
     """
     if not 1 <= max_weight <= code.n:
         raise ValueError(f"max_weight outside 1..{code.n}")
+    if violation_cap < 0:
+        raise ValueError("violation_cap must be non-negative")
     all_violations: list[KLViolation] = []
     pure = True
     for d in range(1, max_weight + 1):
-        violations, weight_pure = _scan_errors(code, list(enumerate_errors(code.n, d)), True)
+        violations, weight_pure = _scan_errors(code, list(_error_masks(code.n, d)), True)
         all_violations.extend(violations)
         pure = pure and weight_pure
     count = len(all_violations)
     capped = count > violation_cap
+    reported = tuple(
+        v._replace(error=PauliOperator(code.n, *v.error)) for v in all_violations[:violation_cap]
+    )
     return KLReport(
         checked_weight=max_weight,
         passed=count == 0,
         pure=pure and count == 0,
-        violations=tuple(all_violations[:violation_cap]),
+        violations=reported,
         violation_count=count,
         violations_capped=capped,
     )
@@ -212,7 +224,7 @@ def distance(code: CwsCode, max_d: int) -> int | None:
     if not 1 <= max_d <= code.n:
         raise ValueError(f"max_d outside 1..{code.n}")
     for d in range(1, max_d + 1):
-        violations, _ = _scan_errors(code, list(enumerate_errors(code.n, d)), False)
+        violations, _ = _scan_errors(code, list(_error_masks(code.n, d)), False)
         if violations:
             return d
     return None
@@ -227,11 +239,9 @@ def _pattern_masks(g: Graph, max_weight: int) -> set[int]:
     if not 1 <= max_weight <= g.n:
         raise ValueError(f"max_weight outside 1..{g.n}")
     table = _stabilizer_table(g)
-    out: set[int] = set()
-    for d in range(1, max_weight + 1):
-        for e in enumerate_errors(g.n, d):
-            out.add(e.z ^ table[e.x][0])
-    return out
+    return {
+        z ^ table[x][0] for d in range(1, max_weight + 1) for x, z in _error_masks(g.n, d)
+    }
 
 
 def error_pattern_set(g: Graph, max_weight: int) -> frozenset[frozenset[int]]:

@@ -115,11 +115,10 @@ def stabilizer_element(g: Graph, u: Iterable[int]) -> PauliOperator:
     The factors commute exactly, so the product is order-free; its x mask
     equals the mask of u and its z mask is the adjacency image of u.
     """
-    return _stab_element_cached(g, mask_of(u, g.n))
+    return _stab_element(g, mask_of(u, g.n))
 
 
-@lru_cache(maxsize=None)
-def _stab_element_cached(g: Graph, u_mask: int) -> PauliOperator:
+def _stab_element(g: Graph, u_mask: int) -> PauliOperator:
     p = identity(g.n)
     m = u_mask
     a = 1
@@ -131,7 +130,9 @@ def _stab_element_cached(g: Graph, u_mask: int) -> PauliOperator:
     return p
 
 
-@lru_cache(maxsize=None)
+# Each public call works on one graph, so one cached table serves all of
+# its weights; a bound of 1 keeps memory flat over many graphs.
+@lru_cache(maxsize=1)
 def _stabilizer_table(g: Graph) -> list[tuple[int, int]]:
     """(z_mask, phase) of the stabilizer element for every x mask.
 
@@ -159,7 +160,7 @@ def overlap(g: Graph, p: PauliOperator) -> complex:
     """
     if p.n != g.n:
         raise ValueError("qubit counts differ")
-    s = _stab_element_cached(g, p.x)
+    s = _stab_element(g, p.x)
     q = mul(p, s)  # s is an involution, so q*s = p and s|G> = |G>
     if q.z:
         return 0
@@ -182,7 +183,7 @@ def reduce_error(g: Graph, e: PauliOperator) -> ReducedError:
     """
     if e.n != g.n:
         raise ValueError("qubit counts differ")
-    q = mul(e, _stab_element_cached(g, e.x))
+    q = mul(e, _stab_element(g, e.x))
     return ReducedError(vertices_of(q.z), phase_value(q.phase))
 
 

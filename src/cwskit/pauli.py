@@ -13,6 +13,11 @@ that bookkeeping lives in the one helper `_product_phase`, which every
 mask-level product in the package (`mul`, `PauliSum` products, the
 stabilizer table, the KL scan) calls.
 
+Likewise the order of error enumeration is written once, in the mask
+generator `_error_masks`, which yields (x, z) pairs.  The error scans
+consume those pairs; the public `enumerate_errors` only wraps them as
+`PauliOperator`s.
+
 Everything here is immutable and side-effect free.
 """
 
@@ -123,27 +128,41 @@ def is_hermitian(p: PauliOperator) -> bool:
     return p.phase % 2 == 0
 
 
-def enumerate_errors(n: int, d: int) -> Iterator[PauliOperator]:
-    """Yield every phase-free Hermitian Pauli acting on exactly d qubits.
+def _error_masks(n: int, d: int) -> Iterator[tuple[int, int]]:
+    """Yield the (x, z) masks of every phase-free Pauli acting on exactly d qubits.
 
-    Order: supports ascend lexicographically as index tuples, then the
-    letters run through X < Y < Z with the last qubit varying fastest.
-    There are 3**d * C(n, d) operators in total.
+    This generator defines the one error order of the package: supports
+    ascend lexicographically as index tuples, then the letters run
+    through X < Y < Z with the last qubit of the support varying fastest.
+    Error scans consume these pairs directly; `enumerate_errors` wraps
+    them as operators.  There are 3**d * C(n, d) pairs in total.
     """
     if not 0 <= d <= n:
         raise ValueError(f"weight {d} outside 0..{n}")
-    for support in itertools.combinations(range(1, n + 1), d):
-        for letters in itertools.product("XYZ", repeat=d):
-            x = 0
-            z = 0
-            for qubit, letter in zip(support, letters):
-                xb, zb = _LETTER_BITS[letter]
-                bit = 1 << (qubit - 1)
-                if xb:
-                    x |= bit
-                if zb:
-                    z |= bit
-            yield PauliOperator(n, x, z, 0)
+    # letter words as local (x, z) masks, bit k for support position k;
+    # the position added last varies fastest
+    letters = [_LETTER_BITS[c] for c in "XYZ"]
+    words = [(0, 0)]
+    for k in range(d):
+        words = [(wx | xb << k, wz | zb << k) for wx, wz in words for xb, zb in letters]
+    for support in itertools.combinations(range(n), d):
+        # spread[m] moves local mask m onto the support's qubits
+        spread = [0]
+        for q in support:
+            spread += [s | 1 << q for s in spread]
+        for lx, lz in words:
+            yield spread[lx], spread[lz]
+
+
+def enumerate_errors(n: int, d: int) -> Iterator[PauliOperator]:
+    """Yield every phase-free Hermitian Pauli acting on exactly d qubits.
+
+    The order is the one `_error_masks` defines, the only place it is
+    written: supports ascending, letters X < Y < Z, last qubit fastest.
+    There are 3**d * C(n, d) operators in total.
+    """
+    for x, z in _error_masks(n, d):
+        yield PauliOperator(n, x, z, 0)
 
 
 def parse_label(s: str, n: int) -> PauliOperator:

@@ -35,7 +35,7 @@ class SearchConfig:
             raise ValueError("target_distance must be at least 2")
         if self.strategy not in ("bb", "greedy"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.time_budget <= 0:
+        if not self.time_budget > 0:  # also rejects nan
             raise ValueError("time_budget must be positive")
 
 

@@ -120,6 +120,13 @@ def test_removed_threads_option_exits_two(capsys):
     assert info.value.code == 2
 
 
+def test_nan_budget_exits_two(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["search", "--budget", "nan"])
+    assert info.value.code == 2
+    assert "duration must be positive" in capsys.readouterr().err
+
+
 def test_distance_reports_three(capsys):
     code, doc, _ = run(capsys, "distance", "--max", "4")
     assert code == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -29,7 +30,7 @@ from cwskit.graphstate import (
     state_vector,
     vertex_stabilizer,
 )
-from cwskit.pauli import enumerate_errors, parse_label, z_on
+from cwskit.pauli import PauliOperator, enumerate_errors, parse_label, z_on
 
 # Frozen from the published construction: the 31 distinct transitions of
 # the ((9,12,3)) code, written as digit strings.
@@ -218,6 +219,45 @@ def test_violation_cap_keeps_exact_count():
     assert len(capped.violations) == 3
     assert capped.violation_count == full.violation_count > 3
     assert capped.violations == full.violations[:3]
+    with pytest.raises(ValueError):
+        kl_verify(code, 2, violation_cap=-1)
+
+
+def test_scans_build_operators_only_for_reported_violations(monkeypatch):
+    # the scans work on (x, z) masks; a PauliOperator is built only for
+    # each violation that kl_verify reports
+    code = the_9_12_3()
+    built = []
+    post_init = PauliOperator.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PauliOperator, "__post_init__", counted)
+    assert kl_verify(code, 2).passed
+    assert distance(code, 3) == 3
+    assert proof_check(code)
+    assert built == []
+    report = kl_verify(code, 3)
+    assert report.violation_count == 762
+    assert built == [v.error for v in report.violations]
+
+
+def test_stabilizer_tables_do_not_accumulate_over_graphs():
+    rng = random.Random(71)
+    pairs = [(a, b) for a in range(1, 11) for b in range(a + 1, 11)]
+    graphs = [
+        Graph.from_edges(10, [pq for pq in pairs if rng.random() < 0.5]) for _ in range(200)
+    ]
+    tracemalloc.start()
+    try:
+        for g in graphs:
+            kl_verify(CwsCode(g, (frozenset(),)), 1)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * 1024 * 1024
 
 
 def test_kl_verify_weight_range_validation():

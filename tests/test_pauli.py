@@ -212,6 +212,15 @@ def test_enumerate_errors_order():
     # supports ascend lexicographically
     supports = [tuple(sorted(e.support())) for e in enumerate_errors(5, 2)]
     assert supports == sorted(supports)
+    # the whole sequence, rebuilt from supports times letter words
+    for n in range(1, 7):
+        for d in range(n + 1):
+            expected = [
+                " ".join(f"{letter}{q}" for letter, q in zip(letters, support)) or "I"
+                for support in itertools.combinations(range(1, n + 1), d)
+                for letters in itertools.product("XYZ", repeat=d)
+            ]
+            assert [render_label(e) for e in enumerate_errors(n, d)] == expected, (n, d)
 
 
 def test_enumerate_errors_weight_zero_and_range():

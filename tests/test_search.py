@@ -40,6 +40,9 @@ def test_config_validation():
         SearchConfig(g, 3, strategy="anneal")
     with pytest.raises(ValueError):
         SearchConfig(g, 3, time_budget=0.0)
+    # nan <= 0 is false, so a nan budget must be rejected explicitly
+    with pytest.raises(ValueError):
+        SearchConfig(g, 3, time_budget=float("nan"))
 
 
 def test_search_finds_a_certified_twelve_word_code():
