@@ -1,4 +1,9 @@
-"""Exact construction, verification, and search of graph-state codes."""
+"""Exact construction, verification, and search of graph-state codes.
+
+The dense oracle's names, `DenseState` and `state_vector`, are loaded from
+`cwskit.dense` on first access, so importing the package does not import
+numpy.
+"""
 
 __version__ = "0.1.0"
 
@@ -18,13 +23,11 @@ from .cwscode import (
 )
 from .files import FileFormatError, load_code, load_graph, render_code, render_graph
 from .graphstate import (
-    DenseState,
     Graph,
     loop_graph,
     overlap,
     reduce_error,
     stabilizer_element,
-    state_vector,
     vertex_stabilizer,
 )
 from .operatoralg import (
@@ -93,3 +96,11 @@ __all__ = [
     "vertex_stabilizer",
     "weight_enumerator",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("DenseState", "state_vector"):
+        from . import dense
+
+        return getattr(dense, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

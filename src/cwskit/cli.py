@@ -19,6 +19,8 @@ import time
 from . import __version__
 from .cwscode import (
     CwsCode,
+    _first_failing_weight,
+    _kl_report,
     distance,
     error_pattern_set,
     error_patterns,
@@ -31,7 +33,7 @@ from .cwscode import (
 from .files import read_code, read_graph, render_code
 # unused since `files` reads each input once; bench/tracing.py patches them here
 from .files import load_code, resolve_graph_reference  # noqa: F401
-from .graphstate import is_loop_graph, loop_graph, state_vector
+from .graphstate import is_loop_graph, loop_graph
 from .operatoralg import (
     adjoint,
     build_projector,
@@ -119,7 +121,7 @@ def _cmd_verify(args):
 def _cmd_distance(args):
     code, inputs = _code_inputs(args)
     max_d = args.max if args.max is not None else code.n
-    found = distance(code, max_d)
+    found, violations = _first_failing_weight(code, max_d, True)
     payload = {
         "passed": True,
         "distance": found,
@@ -128,7 +130,7 @@ def _cmd_distance(args):
         "counts": {"codewords": code.size},
     }
     if found is not None:
-        witness = kl_verify(code, found)
+        witness = _kl_report(code, found, violations, False)
         payload["violations"] = _violation_rows(witness)
         payload["counts"]["violations"] = witness.violation_count
     pretty = [
@@ -235,6 +237,8 @@ def _cmd_enumerator(args):
 
 
 def _cmd_statevec(args):
+    from .dense import state_vector  # numpy is needed here only
+
     g, inputs = _graph_inputs(args)
     state = state_vector(g)
     denom = f"1/√{1 << g.n}"

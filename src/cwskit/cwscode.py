@@ -116,6 +116,10 @@ def matrix_element(code: CwsCode, i: int, j: int, e: PauliOperator) -> complex:
     return overlap(code.graph, mul(left, z_on(code.n, code.codewords[j - 1])))
 
 
+# Violations listed in a report; the count stays exact past it.
+_VIOLATION_CAP = 1000
+
+
 class KLViolation(NamedTuple):
     error: PauliOperator
     i: int
@@ -177,11 +181,51 @@ def _scan_errors(code: CwsCode, errors, collect: bool):
     return violations, pure
 
 
+def _first_failing_weight(
+    code: CwsCode, max_d: int, collect: bool
+) -> tuple[int | None, list[KLViolation]]:
+    """The first weight in 1..max_d whose scan finds a violation.
+
+    Returns (weight, violations) with every violation at that weight when
+    collect is true and only the first one otherwise, or (None, []) when
+    every weight scans clean.  Each weight's errors are scanned once.
+    """
+    if not 1 <= max_d <= code.n:
+        raise ValueError(f"max_d outside 1..{code.n}")
+    for d in range(1, max_d + 1):
+        violations, _ = _scan_errors(code, list(_error_masks(code.n, d)), collect)
+        if violations:
+            return d, violations
+    return None, []
+
+
+def _kl_report(
+    code: CwsCode,
+    max_weight: int,
+    violations: list[KLViolation],
+    pure: bool,
+    violation_cap: int = _VIOLATION_CAP,
+) -> KLReport:
+    """A KLReport on scanned violations, with operators only for the reported ones."""
+    count = len(violations)
+    reported = tuple(
+        v._replace(error=PauliOperator(code.n, *v.error)) for v in violations[:violation_cap]
+    )
+    return KLReport(
+        checked_weight=max_weight,
+        passed=count == 0,
+        pure=pure and count == 0,
+        violations=reported,
+        violation_count=count,
+        violations_capped=count > violation_cap,
+    )
+
+
 def kl_verify(
     code: CwsCode,
     max_weight: int,
     *,
-    violation_cap: int = 1000,
+    violation_cap: int = _VIOLATION_CAP,
 ) -> KLReport:
     """Exhaustive scalar-matrix check over all errors of weight 1..max_weight.
 
@@ -200,19 +244,7 @@ def kl_verify(
         violations, weight_pure = _scan_errors(code, list(_error_masks(code.n, d)), True)
         all_violations.extend(violations)
         pure = pure and weight_pure
-    count = len(all_violations)
-    capped = count > violation_cap
-    reported = tuple(
-        v._replace(error=PauliOperator(code.n, *v.error)) for v in all_violations[:violation_cap]
-    )
-    return KLReport(
-        checked_weight=max_weight,
-        passed=count == 0,
-        pure=pure and count == 0,
-        violations=reported,
-        violation_count=count,
-        violations_capped=capped,
-    )
+    return _kl_report(code, max_weight, all_violations, pure, violation_cap)
 
 
 def distance(code: CwsCode, max_d: int) -> int | None:
@@ -221,13 +253,7 @@ def distance(code: CwsCode, max_d: int) -> int | None:
     Returns None when every weight up to max_d scans clean, meaning the
     distance is at least max_d + 1.
     """
-    if not 1 <= max_d <= code.n:
-        raise ValueError(f"max_d outside 1..{code.n}")
-    for d in range(1, max_d + 1):
-        violations, _ = _scan_errors(code, list(_error_masks(code.n, d)), False)
-        if violations:
-            return d
-    return None
+    return _first_failing_weight(code, max_d, False)[0]
 
 
 # ---------------------------------------------------------------------------

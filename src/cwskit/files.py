@@ -8,7 +8,8 @@ path relative to the code file, or `builtin:loop<k>` for a loop without
 a separate file.
 
 Blank lines and `#` comments are skipped everywhere.  All structural
-complaints carry the file and line they point at.
+complaints carry the file and line they point at.  A vertex count over
+the stabilizer table's cap is refused before any graph is built.
 
 `read_graph` and `read_code` open each file once and return the object
 with its inputs block, hashed from the bytes parsed; `load_*` drop it.
@@ -21,7 +22,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .cwscode import CwsCode
-from .graphstate import Graph, loop_graph
+from .graphstate import Graph, _check_cap, loop_graph
 
 _BUILTIN_PREFIX = "builtin:loop"
 
@@ -59,6 +60,11 @@ def read_graph(path: str | Path) -> tuple[Graph, dict]:
     if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
         raise FileFormatError(path, number, f"expected header 'n <count>', got {header!r}")
     n = int(parts[1])
+    try:
+        # every command needs the stabilizer table, so no larger graph is usable
+        _check_cap(n, "table", "graphs")
+    except ValueError as exc:
+        raise FileFormatError(path, number, str(exc)) from None
     edges = []
     seen: set[tuple[int, int]] = set()
     for number, line in lines[1:]:
@@ -99,6 +105,7 @@ def resolve_graph_reference(ref: str, base: Path) -> tuple[Graph, dict]:
         suffix = ref[len(_BUILTIN_PREFIX):]
         if not suffix.isdigit():
             raise ValueError(f"bad builtin graph reference {ref!r}")
+        _check_cap(int(suffix), "table", "graphs")
         return loop_graph(int(suffix)), {"builtin": ref[len("builtin:"):]}
     target = (base / ref).resolve() if not Path(ref).is_absolute() else Path(ref)
     graph, inputs = read_graph(target)

@@ -1,15 +1,14 @@
-"""Simple graphs, their stabilizer states, and a dense-vector oracle.
+"""Simple graphs, their stabilizer states, and the package's vertex caps.
 
 A graph on n vertices is held as n adjacency-row masks over GF(2).  The
 graph state |G> is the unique joint +1 eigenvector of the vertex
 stabilizers G_a = X_a Z_{N(a)}; in the computational basis its amplitude
 at mu is (-1)**(number of edges inside the support of mu) / sqrt(2**n).
+Everything here is mask arithmetic; the dense-vector oracle that checks
+it lives in `dense`.
 
-The dense-vector side stores amplitudes scaled by sqrt(2**n), so every
-graph-basis state has entries in {+-1, +-i} and all arithmetic performed
-here stays inside the dyadic rationals, which IEEE doubles represent
-exactly at these magnitudes.  The dense path exists to cross-check the
-mask arithmetic, so it deliberately shares none of it.
+Every exhaustive structure has a size cap, and `_VERTEX_CAPS` is the one
+place they are declared; `_check_cap` is the one check.
 """
 
 from __future__ import annotations
@@ -18,12 +17,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
 from ._masks import mask_of, vertices_of
 from .pauli import PauliOperator, _product_phase, identity, mul, phase_value
 
-_DENSE_LIMIT = 14
+# Largest n each exhaustive structure is built for.  "table": the 2**n
+# stabilizer table behind every scan, projector and enumerator, and the
+# 2**n dense state vector; "matrix": a 4**n dense Pauli matrix; "search":
+# the clique search over up to 2**n candidate codewords with pairwise
+# adjacency.
+_VERTEX_CAPS = {"table": 14, "matrix": 10, "search": 12}
+
+
+def _check_cap(n: int, cap: str, subject: str, unit: str = "vertices") -> None:
+    """Raise ValueError("<subject> limited to <cap> <unit>") when n exceeds the cap."""
+    limit = _VERTEX_CAPS[cap]
+    if n > limit:
+        raise ValueError(f"{subject} limited to {limit} {unit}")
 
 
 @dataclass(frozen=True)
@@ -139,8 +148,7 @@ def _stabilizer_table(g: Graph) -> list[tuple[int, int]]:
     Internal scan substrate; index by the x mask of the element.  Only
     sensible for small n since the table has 2**n entries.
     """
-    if g.n > _DENSE_LIMIT:
-        raise ValueError("stabilizer table limited to 14 vertices")
+    _check_cap(g.n, "table", "stabilizer table")
     table: list[tuple[int, int]] = [(0, 0)]
     for m in range(1, 1 << g.n):
         # element(m) = element(m without its lowest bit) * G_low
@@ -185,86 +193,3 @@ def reduce_error(g: Graph, e: PauliOperator) -> ReducedError:
         raise ValueError("qubit counts differ")
     q = mul(e, _stab_element(g, e.x))
     return ReducedError(vertices_of(q.z), phase_value(q.phase))
-
-
-# ---------------------------------------------------------------------------
-# Dense oracle
-
-
-@dataclass(frozen=True)
-class DenseState:
-    """State vector with amplitudes scaled by sqrt(2**n).
-
-    The scaling keeps graph-basis states integer-valued; the squared norm
-    of the scaled vector must equal 2**n exactly.
-    """
-
-    n: int
-    amps: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.amps.shape != (1 << self.n,):
-            raise ValueError("amplitude count differs from 2**n")
-        arr = np.ascontiguousarray(self.amps, dtype=np.complex128)
-        arr.flags.writeable = False
-        object.__setattr__(self, "amps", arr)
-        norm_sq = float(np.sum(arr.real * arr.real + arr.imag * arr.imag))
-        if norm_sq != float(1 << self.n):
-            raise ValueError("scaled squared norm differs from 2**n")
-
-
-def state_vector(g: Graph) -> DenseState:
-    """The graph state of g as a dense vector.
-
-    Amplitude at basis index mu is (-1)**(edges inside the support of mu)
-    before scaling; limited to 14 vertices.
-    """
-    if g.n > _DENSE_LIMIT:
-        raise ValueError("dense states limited to 14 vertices")
-    idx = np.arange(1 << g.n, dtype=np.int64)
-    parity = np.zeros(1 << g.n, dtype=np.int64)
-    for a, b in g.edges():
-        parity ^= (idx >> (a - 1)) & (idx >> (b - 1)) & 1
-    return DenseState(g.n, np.where(parity, -1.0, 1.0).astype(np.complex128))
-
-
-def apply_pauli(s: DenseState, p: PauliOperator) -> DenseState:
-    """p|s> on the dense side: a permutation, signs, and a global phase."""
-    if p.n != s.n:
-        raise ValueError("qubit counts differ")
-    idx = np.arange(1 << s.n, dtype=np.int64)
-    src = idx ^ p.x
-    signs = 1 - 2 * (np.bitwise_count(src & p.z).astype(np.int64) & 1)
-    front = phase_value(p.phase + p.y_count)  # X-before-Z normal form phase
-    return DenseState(s.n, front * signs * s.amps[src])
-
-
-def inner_product(a: DenseState, b: DenseState) -> complex:
-    """<a|b> with the scaling divided back out; exact for dyadic data."""
-    if a.n != b.n:
-        raise ValueError("qubit counts differ")
-    return complex(np.vdot(a.amps, b.amps)) / float(1 << a.n)
-
-
-_LETTER_MATRICES = {
-    (0, 0): np.eye(2, dtype=np.complex128),
-    (1, 0): np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    (0, 1): np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-
-
-def dense_matrix(p: PauliOperator) -> np.ndarray:
-    """p as an explicit 2**n x 2**n matrix, for oracle comparisons.
-
-    Built purely from 2x2 letter blocks and Kronecker products so that it
-    shares no phase bookkeeping with `mul`.  Qubit 1 is the least
-    significant index bit, hence the reversed Kronecker order.
-    """
-    if p.n > 10:
-        raise ValueError("dense matrices limited to 10 qubits")
-    m = np.array([[1]], dtype=np.complex128)
-    for qubit in range(p.n, 0, -1):
-        bit = 1 << (qubit - 1)
-        m = np.kron(m, _LETTER_MATRICES[(int(bool(p.x & bit)), int(bool(p.z & bit)))])
-    return phase_value(p.phase) * m

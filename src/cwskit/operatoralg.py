@@ -27,10 +27,8 @@ from functools import reduce
 from math import lcm
 from typing import Iterable, Union
 
-import numpy as np
-
 from .cwscode import CwsCode, _codeword_masks, matrix_element
-from .graphstate import DenseState, apply_pauli, loop_graph, stabilizer_element, _stabilizer_table
+from .graphstate import loop_graph, stabilizer_element, _stabilizer_table
 from .pauli import PauliOperator, _product_phase
 # unused since brute sums the projector's terms; bench/tracing.py patches it here
 from .pauli import enumerate_errors  # noqa: F401
@@ -225,21 +223,6 @@ def coefficient_of(x: PauliSum, p: PauliOperator) -> Coeff:
     return Coeff()
 
 
-def apply_sum(state: DenseState, x: PauliSum) -> np.ndarray:
-    """x|state> as a scaled amplitude array.
-
-    General sums do not preserve normalization, so the result is a bare
-    array in the same sqrt(2**n) scaling as DenseState.  Dyadic
-    coefficients at these sizes stay exact in double precision.
-    """
-    if x.n != state.n:
-        raise ValueError("qubit counts differ")
-    out = np.zeros_like(state.amps)
-    for (xm, zm), c in x.terms:
-        out += complex(c) * apply_pauli(state, PauliOperator(x.n, xm, zm, 0)).amps
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The ((9,12,3)) projector
 
@@ -354,7 +337,7 @@ def weight_enumerator(code: CwsCode, method: str = "fast") -> EnumeratorResult:
     codeword counts; brute expands the projector and sums
     Tr(P E)**2 = (2**n c)**2 over its terms (E, c), binning each by the
     weight |x | z| of E's masks.  Every other E has Tr(P E) = 0.  Both
-    are exact and must agree.
+    are exact, must agree, and share the stabilizer table's vertex cap.
     """
     n = code.n
     if method == "fast":
@@ -366,8 +349,6 @@ def weight_enumerator(code: CwsCode, method: str = "fast") -> EnumeratorResult:
             a[(u | z).bit_count()] += _signed_count(u, masks) ** 2
         return EnumeratorResult(tuple(a))
     if method == "brute":
-        if n > 12:
-            raise ValueError("brute enumeration limited to 12 qubits")
         a = [0] * (n + 1)
         for (x, z), c in projector_from_codewords(code).terms:
             if c.im != 0:

@@ -18,7 +18,7 @@ from typing import Iterable
 
 from ._masks import vertices_of
 from .cwscode import CwsCode, _pattern_masks, kl_verify
-from .graphstate import Graph
+from .graphstate import Graph, _check_cap
 
 _TIME_CHECK_NODES = 2048
 
@@ -170,8 +170,7 @@ def compatibility_search(cfg: SearchConfig) -> SearchResult:
     whole space was explored, never for greedy results.
     """
     g = cfg.graph
-    if g.n > 12:
-        raise ValueError("search limited to 12 vertices")
+    _check_cap(g.n, "search", "search")
     start = time.monotonic()
     deadline = start + cfg.time_budget
     forbidden = _pattern_masks(g, cfg.target_distance - 1)

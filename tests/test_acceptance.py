@@ -22,17 +22,10 @@ from cwskit.cwscode import (
     the_9_12_3,
     transition_set,
 )
-from cwskit.graphstate import (
-    Graph,
-    apply_pauli,
-    inner_product,
-    loop_graph,
-    stabilizer_element,
-    state_vector,
-)
+from cwskit.dense import apply_pauli, apply_sum, inner_product, state_vector
+from cwskit.graphstate import Graph, loop_graph, stabilizer_element
 from cwskit.operatoralg import (
     adjoint,
-    apply_sum,
     build_projector,
     from_pauli,
     projector_from_codewords,

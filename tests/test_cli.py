@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from cwskit import __version__
+from cwskit import __version__, cwscode
 from cwskit.cli import main
-from cwskit.graphstate import loop_graph, state_vector
+from cwskit.dense import state_vector
+from cwskit.graphstate import loop_graph
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -132,6 +133,26 @@ def test_distance_reports_three(capsys):
     assert code == 0
     assert doc["payload"]["distance"] == 3
     assert doc["payload"]["counts"]["violations"] > 0
+
+
+def test_distance_scans_each_weight_once(capsys, monkeypatch):
+    scanned = []
+    scan = cwscode._scan_errors
+
+    def counted(code, errors, collect):
+        scanned.append(len(errors))
+        return scan(code, errors, collect)
+
+    monkeypatch.setattr(cwscode, "_scan_errors", counted)
+    code, doc, _ = run(capsys, "distance", "--max", "4")
+    assert code == 0
+    assert doc["payload"]["distance"] == 3
+    # weights 1, 2 and 3 of 9 qubits, each once: 2619 errors; the witness
+    # rows come from the weight-3 scan
+    assert scanned == [27, 324, 2268]
+    witness = cwscode.kl_verify(cwscode.the_9_12_3(), 3)
+    assert doc["payload"]["counts"]["violations"] == witness.violation_count
+    assert len(doc["payload"]["violations"]) == len(witness.violations)
 
 
 def test_patterns_counts(capsys):

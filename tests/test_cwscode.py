@@ -22,14 +22,8 @@ from cwskit.cwscode import (
     the_9_12_3,
     transition_set,
 )
-from cwskit.graphstate import (
-    Graph,
-    apply_pauli,
-    inner_product,
-    loop_graph,
-    state_vector,
-    vertex_stabilizer,
-)
+from cwskit.dense import apply_pauli, inner_product, state_vector
+from cwskit.graphstate import Graph, loop_graph, vertex_stabilizer
 from cwskit.pauli import PauliOperator, enumerate_errors, parse_label, z_on
 
 # Frozen from the published construction: the 31 distinct transitions of

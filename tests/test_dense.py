@@ -1,0 +1,92 @@
+"""The dense oracle stays apart: numpy only behind `cwskit.dense`.
+
+The exact checks must run without numpy, and the oracle must share none
+of the mask arithmetic it is compared against.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cwskit
+from cwskit import dense
+
+PACKAGE = Path(cwskit.__file__).resolve().parent
+MASK_HELPERS = {"_stabilizer_table", "_product_phase", "_error_masks", "_stab_element"}
+
+# Runs the verification commands in a fresh interpreter, then the dense ones.
+SCRIPT = """
+import contextlib, io, json, sys
+import cwskit, cwskit.cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cwskit.cli.main(list(argv))
+
+codes = [run("paper-demo"), run("verify", "--weight", "3"), run("distance", "--max", "4"),
+         run("search", "--budget", "1")]
+numpy_before = "numpy" in sys.modules
+codes.append(run("statevec"))
+print(json.dumps({"codes": codes, "numpy_before": numpy_before,
+                  "numpy_after": "numpy" in sys.modules,
+                  "state_n": cwskit.state_vector(cwskit.loop_graph(3)).n}))
+"""
+
+
+def imported_modules(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_dense_imports_numpy():
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert ("numpy" in imported_modules(tree)) == (path.name == "dense.py"), path.name
+
+
+def test_dense_uses_no_mask_helpers():
+    tree = ast.parse(Path(dense.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name for alias in node.names}
+    assert not names & MASK_HELPERS
+
+
+def test_verification_path_does_not_import_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    # verify --weight 3 fails by design: the code has distance 3
+    assert result == {
+        "codes": [0, 1, 0, 0, 0], "numpy_before": False, "numpy_after": True, "state_n": 3,
+    }
+
+
+def test_dense_names_stay_public():
+    from cwskit import DenseState, state_vector
+
+    assert DenseState is dense.DenseState
+    assert state_vector is cwskit.state_vector is dense.state_vector
+    for name in cwskit.__all__:
+        getattr(cwskit, name)
+    with pytest.raises(AttributeError):
+        cwskit.apply_pauli

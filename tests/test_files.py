@@ -106,6 +106,21 @@ def test_code_file_diagnostics(tmp_path):
     assert err.line == 1
 
 
+def test_oversized_graphs_rejected_before_building(tmp_path):
+    # a 3000-vertex graph would take seconds to build and check; the header alone
+    # is refused at the table cap every command needs
+    err = checked_load_graph(tmp_path, "# huge\nn 3000\n")
+    assert (err.line, err.message) == (2, "graphs limited to 14 vertices")
+    assert str(err).startswith(f"{tmp_path / 'bad.graph'}:2: ")
+    err = checked_load_code(tmp_path, "graph builtin:loop3000\n-\n")
+    assert (err.line, err.message) == (1, "graphs limited to 14 vertices")
+    assert str(err).startswith(f"{tmp_path / 'bad.code'}:1: ")
+    (tmp_path / "cap.graph").write_text("n 14\n")
+    assert load_graph(tmp_path / "cap.graph") == Graph(14, (0,) * 14)
+    (tmp_path / "cap.code").write_text("graph builtin:loop14\n-\n")
+    assert load_code(tmp_path / "cap.code").graph == loop_graph(14)
+
+
 def test_code_file_with_relative_graph_path(tmp_path):
     (tmp_path / "tiny.graph").write_text("n 4\n1 2\n2 3\n3 4\n1 4\n")
     (tmp_path / "tiny.code").write_text("graph tiny.graph\n-\n1,3\n")

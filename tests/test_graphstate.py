@@ -13,22 +13,20 @@ import random
 import numpy as np
 import pytest
 
+from cwskit.dense import DenseState, apply_pauli, dense_matrix, inner_product, state_vector
 from cwskit.graphstate import (
-    DenseState,
+    _VERTEX_CAPS,
     Graph,
-    apply_pauli,
-    dense_matrix,
-    inner_product,
     is_loop_graph,
     loop_graph,
     overlap,
     reduce_error,
     stabilizer_element,
-    state_vector,
     vertex_stabilizer,
     _stabilizer_table,
 )
 from cwskit.pauli import PauliOperator, identity, mul, parse_label, weight, z_on
+from cwskit.search import SearchConfig, compatibility_search
 
 
 def random_graph(n, rng):
@@ -180,6 +178,26 @@ def test_graph_state_is_unique_joint_eigenvector():
 def test_state_vector_guard():
     with pytest.raises(ValueError):
         state_vector(Graph(15, tuple(0 for _ in range(15))))
+
+
+# Each use of a vertex cap: the table key it reads and a call at size n.
+CAP_USES = {
+    "stabilizer table": ("table", lambda n: _stabilizer_table(Graph(n, (0,) * n))),
+    "dense state": ("table", lambda n: state_vector(Graph(n, (0,) * n))),
+    "dense matrix": ("matrix", lambda n: dense_matrix(PauliOperator(n, 1, 1, 0))),
+    "search": ("search", lambda n: compatibility_search(
+        SearchConfig(loop_graph(n), 3, strategy="greedy"))),
+}
+
+
+@pytest.mark.parametrize("use", sorted(CAP_USES))
+def test_vertex_caps_are_the_real_limits(use):
+    assert {cap for cap, _ in CAP_USES.values()} == set(_VERTEX_CAPS)
+    cap, call = CAP_USES[use]
+    limit = _VERTEX_CAPS[cap]
+    call(limit)
+    with pytest.raises(ValueError, match=f"limited to {limit} "):
+        call(limit + 1)
 
 
 # --- dense state operations -------------------------------------------------

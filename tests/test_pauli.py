@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from cwskit.graphstate import dense_matrix
+from cwskit.dense import dense_matrix
 from cwskit.pauli import (
     PauliOperator,
     adjoint,
