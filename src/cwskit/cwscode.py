@@ -318,7 +318,9 @@ def _loop_shape_classes(n: int) -> dict[int, set[int]]:
 def error_patterns(g: Graph) -> dict[int, frozenset[frozenset[int]]]:
     """Weight-<=2 phase-flip patterns on a loop, tagged by class 1..6.
 
-    Class k holds the patterns flipping exactly k qubits.  On loops of at
+    Class k holds the patterns flipping exactly k qubits.  The empty
+    pattern, which some errors reach on loops of 3 and 4 vertices, is in
+    no class; `search.empty_pattern_present` reports it.  On loops of at
     least 7 vertices each class is checked against its closed form; other
     graphs have no class structure, so tagging is refused and
     `error_pattern_set` serves the raw set instead.
@@ -327,7 +329,7 @@ def error_patterns(g: Graph) -> dict[int, frozenset[frozenset[int]]]:
         raise ValueError("pattern classes are defined on loop graphs; use error_pattern_set")
     masks = _pattern_masks(g, 2)
     classes = {k: frozenset(m for m in masks if m.bit_count() == k) for k in range(1, 7)}
-    leftovers = {m for m in masks if not 1 <= m.bit_count() <= 6}
+    leftovers = {m for m in masks if m.bit_count() > 6}
     if leftovers:
         raise RuntimeError(f"loop pattern outside size 1..6: {sorted(leftovers)}")
     if g.n >= 7:

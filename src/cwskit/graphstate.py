@@ -53,10 +53,18 @@ class Graph:
                 raise ValueError(f"row {a + 1} outside vertex range")
             if row & (1 << a):
                 raise ValueError(f"self-loop at vertex {a + 1}")
-        for a in range(self.n):
-            for b in range(a + 1, self.n):
-                if bool(self.rows[a] & (1 << b)) != bool(self.rows[b] & (1 << a)):
-                    raise ValueError(f"asymmetric edge between {a + 1} and {b + 1}")
+        # walk the set bits only, so the check is linear in the edges
+        asymmetric = []
+        for a, row in enumerate(self.rows):
+            while row:
+                low = row & -row
+                row ^= low
+                b = low.bit_length() - 1
+                if not self.rows[b] >> a & 1:
+                    asymmetric.append((min(a, b), max(a, b)))
+        if asymmetric:
+            a, b = min(asymmetric)
+            raise ValueError(f"asymmetric edge between {a + 1} and {b + 1}")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

@@ -7,6 +7,10 @@ subsets of 1..n, and code search is maximum clique.  The empty word is
 pinned into every clique: translating a valid set by one of its members
 keeps it valid, so nothing is lost.
 
+Branch and bound builds its bitset rows once, already in the one vertex
+order it branches in.  The time budget is read in every phase: the
+degree count, the row build and each search node.
+
 Found sets are never trusted: `certify` reruns the full verifier.
 """
 
@@ -19,8 +23,6 @@ from typing import Iterable
 from ._masks import vertices_of
 from .cwscode import CwsCode, _pattern_masks, kl_verify
 from .graphstate import Graph, _check_cap
-
-_TIME_CHECK_NODES = 2048
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,11 @@ def forbidden_differences(g: Graph, max_weight: int) -> frozenset[frozenset[int]
     """Patterns of all errors with weight 1..max_weight, empty set removed.
 
     The empty pattern is not a usable difference (codewords are distinct)
-    and is reported through `empty_pattern_present` instead, since an
-    error that reduces to it acts as a scalar on every candidate code.
+    and is reported through `empty_pattern_present` instead.  An error e
+    that reduces to it is not a scalar on the code: it acts on codeword c
+    as (-1)**|x(e) & c| times one fixed phase, x(e) being its X part.  The
+    clique does not constrain that sign, so such a search can exhaust
+    with a set that `certify` rejects.
     """
     return frozenset(vertices_of(m) for m in _pattern_masks(g, max_weight) if m)
 
@@ -87,35 +92,31 @@ def _max_clique_masks(
 ) -> tuple[list[int], bool]:
     """Branch and bound over bitset adjacency, greedy coloring as the bound.
 
-    Vertices are renumbered by compatibility degree descending before the
-    search, and the run is single-threaded, so an exhausted run is
-    reproducible bit for bit.
+    Branch order is compatibility degree descending, ties in ascending
+    mask order; a budget that ends before the rows are built returns the
+    seed.  The run is single-threaded, so an exhausted run is reproducible
+    bit for bit.
     """
-    count = len(candidates)
-    if count == 0:
+    if not candidates:
         return [], True
-    adjacency = [0] * count
-    for i, a in enumerate(candidates):
-        for j in range(i + 1, count):
-            if a ^ candidates[j] not in forbidden:
-                adjacency[i] |= 1 << j
-                adjacency[j] |= 1 << i
-    order = sorted(range(count), key=lambda i: (-adjacency[i].bit_count(), i))
-    rank = [0] * count
-    for new, old in enumerate(order):
-        rank[old] = new
-    adj = [0] * count
-    for old in range(count):
-        remaining = adjacency[old]
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            adj[rank[old]] |= 1 << rank[low.bit_length() - 1]
+    degrees = []
+    for a in candidates:
+        if time.monotonic() > deadline:
+            return seed, False
+        degrees.append(sum(a ^ b not in forbidden for b in candidates))
+    # sorted is stable, so equal degrees keep the ascending mask order
+    order = sorted(range(len(candidates)), key=lambda i: -degrees[i])
+    words = [candidates[i] for i in order]
+    adj = []
+    for v, a in enumerate(words):
+        if time.monotonic() > deadline:
+            return seed, False
+        # bit j stands for words[j]; a ^ a = 0 is never forbidden, so drop bit v
+        bits = "".join("0" if a ^ b in forbidden else "1" for b in reversed(words))
+        adj.append(int(bits, 2) ^ (1 << v))
 
-    position = {m: i for i, m in enumerate(candidates)}
-    best = [rank[position[m]] for m in seed]
+    best = seed
     current: list[int] = []
-    nodes = 0
     timed_out = False
 
     def color_sort(pool: int) -> tuple[list[int], list[int]]:
@@ -136,11 +137,9 @@ def _max_clique_masks(
         return sequence, bounds
 
     def expand(pool: int) -> None:
-        nonlocal best, nodes, timed_out
-        nodes += 1
-        if nodes % _TIME_CHECK_NODES == 0 and time.monotonic() > deadline:
+        nonlocal best, timed_out
+        if time.monotonic() > deadline:
             timed_out = True
-        if timed_out:
             return
         sequence, bounds = color_sort(pool)
         for k in range(len(sequence) - 1, -1, -1):
@@ -152,14 +151,14 @@ def _max_clique_masks(
             if narrowed:
                 expand(narrowed)
             elif len(current) > len(best):
-                best = current.copy()
+                best = [words[u] for u in current]
             current.pop()
             if timed_out:
                 return
             pool ^= 1 << v
 
-    expand((1 << count) - 1)
-    return sorted(candidates[order[v]] for v in best), not timed_out
+    expand((1 << len(words)) - 1)
+    return sorted(best), not timed_out
 
 
 def compatibility_search(cfg: SearchConfig) -> SearchResult:

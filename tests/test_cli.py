@@ -11,6 +11,7 @@ import pytest
 from cwskit import __version__, cwscode
 from cwskit.cli import main
 from cwskit.dense import state_vector
+from cwskit.files import render_graph
 from cwskit.graphstate import loop_graph
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -155,6 +156,18 @@ def test_distance_scans_each_weight_once(capsys, monkeypatch):
     assert len(doc["payload"]["violations"]) == len(witness.violations)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_patterns_on_small_loops_leave_the_empty_pattern_unclassed(capsys, tmp_path, n):
+    # some weight-<=2 errors on these loops reduce to the empty pattern
+    path = tmp_path / f"loop{n}.graph"
+    path.write_text(render_graph(loop_graph(n)))
+    code, doc, _ = run(capsys, "patterns", "--graph", str(path))
+    assert code == 0
+    payload = doc["payload"]
+    assert payload["empty_pattern_present"] is True
+    assert sum(payload["counts"]["classes"].values()) == payload["counts"]["patterns"] - 1
+
+
 def test_patterns_counts(capsys):
     code, doc, _ = run(capsys, "patterns")
     assert code == 0
@@ -215,6 +228,9 @@ def test_search_reaches_twelve(capsys):
     assert payload["certified"] and payload["exhausted"]
     assert payload["code_file"].startswith("graph builtin:loop9\n-\n")
     assert payload["codewords"][0] == []
+    # the exhausted loop-9 words, as masks with bit a-1 for vertex a
+    masks = [sum(1 << (v - 1) for v in word) for word in payload["codewords"]]
+    assert masks == [0, 73, 140, 175, 197, 230, 280, 307, 337, 378, 446, 503]
 
 
 def test_search_greedy_strategy(capsys):

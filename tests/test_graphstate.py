@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -66,6 +67,16 @@ def test_graph_validation():
         Graph.from_edges(3, [(1, 4)])
     with pytest.raises(ValueError):
         loop_graph(2)
+
+
+def test_symmetry_check_is_linear_in_the_edges():
+    start = time.perf_counter()
+    assert loop_graph(3000).n == 3000
+    assert time.perf_counter() - start < 0.2
+    # 2 -> 4 and 3 -> 1 are one-way, 4 - 5 is a proper edge; the
+    # lexicographically first one-way pair is named, smaller vertex first
+    with pytest.raises(ValueError, match="^asymmetric edge between 1 and 3$"):
+        Graph(5, (0b00000, 0b01000, 0b00001, 0b10000, 0b01000))
 
 
 def test_loop_graph_structure():

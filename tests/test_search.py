@@ -1,9 +1,13 @@
 """Forbidden differences and the clique search over candidate codewords."""
 
+import random
+from itertools import combinations
+
 import pytest
 
+from cwskit._masks import mask_of
 from cwskit.cwscode import kl_verify, the_9_12_3
-from cwskit.graphstate import loop_graph
+from cwskit.graphstate import Graph, loop_graph
 from cwskit.search import (
     SearchConfig,
     certify,
@@ -45,6 +49,10 @@ def test_config_validation():
         SearchConfig(g, 3, time_budget=float("nan"))
 
 
+# masks of the exhausted loop-9, distance-3 search; bit a-1 is vertex a
+LOOP9_D3_MASKS = [0, 73, 140, 175, 197, 230, 280, 307, 337, 378, 446, 503]
+
+
 def test_search_finds_a_certified_twelve_word_code():
     r = compatibility_search(SearchConfig(loop_graph(9), 3))
     assert r.size == 12
@@ -52,6 +60,7 @@ def test_search_finds_a_certified_twelve_word_code():
     assert r.exhausted
     assert r.size == len(r.codewords)
     assert frozenset() in r.codewords
+    assert [mask_of(w, 9) for w in r.codewords] == LOOP9_D3_MASKS
 
 
 def test_exhausted_search_is_reproducible():
@@ -95,10 +104,13 @@ def test_branch_and_bound_beats_greedy_here():
 
 
 def test_tiny_budget_reports_not_exhausted():
-    r = compatibility_search(SearchConfig(loop_graph(9), 3, time_budget=1e-9))
+    g = loop_graph(9)
+    r = compatibility_search(SearchConfig(g, 3, time_budget=1e-9))
     assert not r.exhausted
     assert r.size >= 8
     assert r.certified
+    # the budget ends before the rows are built, leaving the greedy words
+    assert r.codewords == compatibility_search(SearchConfig(g, 3, strategy="greedy")).codewords
 
 
 def test_triangle_collapses_to_the_empty_word():
@@ -122,3 +134,57 @@ def test_certify_matches_direct_verification():
 def test_search_rejects_large_graphs():
     with pytest.raises(ValueError):
         compatibility_search(SearchConfig(loop_graph(13), 3))
+
+
+def test_budget_holds_before_the_rows_are_built():
+    # the pairwise rows of loop 12 take seconds to build; the budget is
+    # read per candidate and per row, so the search stops near 0.25 s
+    r = compatibility_search(SearchConfig(loop_graph(12), 3, time_budget=0.25))
+    assert r.elapsed < 1.0
+    assert not r.exhausted
+    assert r.certified
+
+
+def _bron_kerbosch_maximum(adjacent: dict[int, set[int]]) -> int:
+    """Size of a largest clique, by Bron–Kerbosch with pivoting."""
+    best = 0
+
+    def extend(size: int, p: set[int], x: set[int]) -> None:
+        nonlocal best
+        if not p and not x:
+            best = max(best, size)
+            return
+        pivot = max(p | x, key=lambda u: len(p & adjacent[u]))
+        for v in list(p - adjacent[pivot]):
+            extend(size + 1, p & adjacent[v], x & adjacent[v])
+            p = p - {v}
+            x = x | {v}
+
+    extend(0, set(adjacent), set())
+    return best
+
+
+def test_exhausted_search_is_a_maximum_clique():
+    rng = random.Random(2007)
+    exhausted = 0
+    for _ in range(20):
+        n = rng.randint(5, 8)
+        # Bron–Kerbosch lists every maximal clique, too many for the
+        # 24-word distance-2 codes at n = 7, so distance 2 stays at n <= 6
+        d = rng.choice((2, 3)) if n <= 6 else 3
+        pairs = combinations(range(1, n + 1), 2)
+        g = Graph.from_edges(n, [e for e in pairs if rng.random() < 0.5])
+        r = compatibility_search(SearchConfig(g, d, time_budget=2.0))
+        if not r.exhausted:
+            continue
+        exhausted += 1
+        f = forbidden_differences(g, d - 1)
+        assert frozenset() in r.codewords
+        for i, a in enumerate(r.codewords):
+            for b in r.codewords[i + 1:]:
+                assert a ^ b not in f
+        subsets = (frozenset(c) for k in range(n + 1) for c in combinations(range(1, n + 1), k))
+        words = [w for w in subsets if w not in f]
+        adjacent = {a: {b for b in words if b != a and a ^ b not in f} for a in words}
+        assert r.size == _bron_kerbosch_maximum(adjacent)
+    assert exhausted >= 15
