@@ -261,7 +261,6 @@ def _cmd_search(args):
         graph=g,
         target_distance=args.distance,
         time_budget=args.budget,
-        strategy=args.strategy,
     )
     if args.min_size < 1:
         raise ValueError("min_size must be at least 1")
@@ -393,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distance", type=int, default=3, help="target distance")
     p.add_argument("--min-size", type=int, default=1, help="size the result must reach to pass")
     p.add_argument("--budget", type=_budget, default=60.0, help="time budget, e.g. 60s")
-    p.add_argument("--strategy", choices=("bb", "greedy"), default="bb")
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("paper-demo", help="run the full ((9,12,3)) reproduction")

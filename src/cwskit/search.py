@@ -1,15 +1,15 @@
 """Clique search for codeword sets over a fixed graph.
 
 Two codewords can coexist at distance d exactly when their symmetric
-difference is not a phase-flip pattern reachable by an error of weight
-below d.  Candidate codewords therefore form a Cayley graph on the
-subsets of 1..n, and code search is maximum clique.  The empty word is
-pinned into every clique: translating a valid set by one of its members
-keeps it valid, so nothing is lost.
+difference passes the verifier's pairwise rule (`forbidden_differences`).
+Candidate codewords therefore form a Cayley graph on the subsets of
+1..n, and code search is maximum clique.  The empty word is pinned into
+every clique: translating a valid set by one of its members keeps it
+valid, so nothing is lost.
 
-Branch and bound builds its bitset rows once, already in the one vertex
-order it branches in.  The time budget is read in every phase: the
-degree count, the row build and each search node.
+Branch and bound builds each bitset row once, in mask order, then
+gathers the rows into the order it branches in.  The time budget is
+read in every phase: the row build, the gather and each search node.
 
 Found sets are never trusted: `certify` reruns the full verifier.
 """
@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 from ._masks import vertices_of
 from .cwscode import CwsCode, _pattern_masks, kl_verify
-from .graphstate import Graph, _check_cap
+from .graphstate import Graph, _check_cap, _stabilizer_table
 
 
 @dataclass(frozen=True)
@@ -30,13 +31,10 @@ class SearchConfig:
     graph: Graph
     target_distance: int
     time_budget: float = 60.0
-    strategy: str = "bb"
 
     def __post_init__(self) -> None:
-        if self.target_distance < 2:
-            raise ValueError("target_distance must be at least 2")
-        if self.strategy not in ("bb", "greedy"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+        if not 2 <= self.target_distance <= self.graph.n + 1:
+            raise ValueError(f"target_distance outside 2..{self.graph.n + 1}")
         if not self.time_budget > 0:  # also rejects nan
             raise ValueError("time_budget must be positive")
 
@@ -50,17 +48,25 @@ class SearchResult:
     exhausted: bool
 
 
-def forbidden_differences(g: Graph, max_weight: int) -> frozenset[frozenset[int]]:
-    """Patterns of all errors with weight 1..max_weight, empty set removed.
+def _forbidden_masks(g: Graph, max_weight: int) -> set[int]:
+    forbidden = _pattern_masks(g, max_weight)
+    forbidden.discard(0)
+    table = _stabilizer_table(g)
+    xs = [u for u in range(1, 1 << g.n) if (u | table[u][0]).bit_count() <= max_weight]
+    forbidden.update(m for m in range(1, 1 << g.n) if any((m & u).bit_count() & 1 for u in xs))
+    return forbidden
 
-    The empty pattern is not a usable difference (codewords are distinct)
-    and is reported through `empty_pattern_present` instead.  An error e
-    that reduces to it is not a scalar on the code: it acts on codeword c
-    as (-1)**|x(e) & c| times one fixed phase, x(e) being its X part.  The
-    clique does not constrain that sign, so such a search can exhaust
-    with a set that `certify` rejects.
+
+def forbidden_differences(g: Graph, max_weight: int) -> frozenset[frozenset[int]]:
+    """Differences no two codewords may have at distance max_weight + 1.
+
+    These are the non-empty patterns of all errors with weight
+    1..max_weight, and every set with odd overlap with the X part u of
+    such an error that reduces to the empty pattern: that error is a
+    stabilizer element up to phase and acts on codeword c as (-1)**|u & c|.
+    This is the verifier's rule, pair by pair; `certify` stays independent.
     """
-    return frozenset(vertices_of(m) for m in _pattern_masks(g, max_weight) if m)
+    return frozenset(vertices_of(m) for m in _forbidden_masks(g, max_weight))
 
 
 def empty_pattern_present(g: Graph, max_weight: int) -> bool:
@@ -92,28 +98,30 @@ def _max_clique_masks(
 ) -> tuple[list[int], bool]:
     """Branch and bound over bitset adjacency, greedy coloring as the bound.
 
-    Branch order is compatibility degree descending, ties in ascending
-    mask order; a budget that ends before the rows are built returns the
-    seed.  The run is single-threaded, so an exhausted run is reproducible
-    bit for bit.
+    Each pair is tested once, in mask order; branch order (compatibility
+    degree descending, ties in ascending mask order) only regathers the
+    bits.  A budget that ends before the rows are gathered returns the
+    seed.  The run is single-threaded, so an exhausted run is
+    reproducible bit for bit.
     """
     if not candidates:
         return [], True
-    degrees = []
+    rows = []
     for a in candidates:
         if time.monotonic() > deadline:
             return seed, False
-        degrees.append(sum(a ^ b not in forbidden for b in candidates))
+        # the leftmost character, the highest bit, stands for candidates[0]
+        rows.append(int("".join("0" if a ^ b in forbidden else "1" for b in candidates), 2))
     # sorted is stable, so equal degrees keep the ascending mask order
-    order = sorted(range(len(candidates)), key=lambda i: -degrees[i])
+    order = sorted(range(len(candidates)), key=lambda i: -rows[i].bit_count())
     words = [candidates[i] for i in order]
+    gather = itemgetter(*reversed(order))
     adj = []
-    for v, a in enumerate(words):
+    for v, i in enumerate(order):
         if time.monotonic() > deadline:
             return seed, False
         # bit j stands for words[j]; a ^ a = 0 is never forbidden, so drop bit v
-        bits = "".join("0" if a ^ b in forbidden else "1" for b in reversed(words))
-        adj.append(int(bits, 2) ^ (1 << v))
+        adj.append(int("".join(gather(format(rows[i], f"0{len(words)}b"))), 2) ^ (1 << v))
 
     best = seed
     current: list[int] = []
@@ -164,23 +172,17 @@ def _max_clique_masks(
 def compatibility_search(cfg: SearchConfig) -> SearchResult:
     """Search for the largest codeword set at the configured distance.
 
-    The greedy pass always runs and seeds the branch-and-bound incumbent;
-    strategy "greedy" stops there.  `exhausted` is true only when the
-    whole space was explored, never for greedy results.
+    The greedy pass seeds the branch-and-bound incumbent.  `exhausted` is
+    true only when the whole space was explored.
     """
     g = cfg.graph
     _check_cap(g.n, "search", "search")
     start = time.monotonic()
     deadline = start + cfg.time_budget
-    forbidden = _pattern_masks(g, cfg.target_distance - 1)
-    forbidden.discard(0)
+    forbidden = _forbidden_masks(g, cfg.target_distance - 1)
     candidates = [m for m in range(1, 1 << g.n) if m not in forbidden]
-
-    chosen = _greedy_masks(candidates, forbidden)
-    exhausted = False
-    if cfg.strategy == "bb":
-        chosen, exhausted = _max_clique_masks(candidates, forbidden, chosen, deadline)
-
+    seed = _greedy_masks(candidates, forbidden)
+    chosen, exhausted = _max_clique_masks(candidates, forbidden, seed, deadline)
     codewords = tuple(vertices_of(m) for m in sorted((0, *chosen)))
     certified = certify(codewords, g, cfg.target_distance)
     return SearchResult(

@@ -233,11 +233,16 @@ def test_search_reaches_twelve(capsys):
     assert masks == [0, 73, 140, 175, 197, 230, 280, 307, 337, 378, 446, 503]
 
 
-def test_search_greedy_strategy(capsys):
-    code, doc, _ = run(capsys, "search", "--strategy", "greedy")
-    assert code == 0
-    assert doc["payload"]["size"] == 8
-    assert not doc["payload"]["exhausted"]
+def test_removed_strategy_option_exits_two(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["search", "--strategy", "greedy"])
+    assert info.value.code == 2
+
+
+def test_search_distance_beyond_n_plus_one_exits_two(capsys):
+    code, doc, err = run(capsys, "search", "--distance", "11")
+    assert code == 2 and doc is None
+    assert "error: target_distance outside 2..10" in err
 
 
 def test_search_unreachable_min_size_exits_one(capsys):

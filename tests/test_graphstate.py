@@ -197,7 +197,7 @@ CAP_USES = {
     "dense state": ("table", lambda n: state_vector(Graph(n, (0,) * n))),
     "dense matrix": ("matrix", lambda n: dense_matrix(PauliOperator(n, 1, 1, 0))),
     "search": ("search", lambda n: compatibility_search(
-        SearchConfig(loop_graph(n), 3, strategy="greedy"))),
+        SearchConfig(loop_graph(n), 3, time_budget=1e-9))),
 }
 
 

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from cwskit._masks import mask_of
+from cwskit._masks import mask_of, vertices_of
 from cwskit.cwscode import kl_verify, the_9_12_3
 from cwskit.graphstate import Graph, loop_graph
 from cwskit.search import (
@@ -40,8 +40,10 @@ def test_config_validation():
     g = loop_graph(9)
     with pytest.raises(ValueError):
         SearchConfig(g, 1)
-    with pytest.raises(ValueError):
-        SearchConfig(g, 3, strategy="anneal")
+    # weights run to n, so the distance runs to n + 1
+    SearchConfig(g, 10)
+    with pytest.raises(ValueError, match="target_distance"):
+        SearchConfig(g, 11)
     with pytest.raises(ValueError):
         SearchConfig(g, 3, time_budget=0.0)
     # nan <= 0 is false, so a nan budget must be rejected explicitly
@@ -86,8 +88,9 @@ def test_translated_code_still_certifies():
         assert certify(tuple(c ^ t for c in r.codewords), g, 3)
 
 
+# a budget that ends before the rows are built returns the greedy words
 def test_greedy_is_deterministic_and_certified():
-    cfg = SearchConfig(loop_graph(9), 3, strategy="greedy")
+    cfg = SearchConfig(loop_graph(9), 3, time_budget=1e-9)
     a = compatibility_search(cfg)
     b = compatibility_search(cfg)
     assert a.codewords == b.codewords
@@ -98,7 +101,7 @@ def test_greedy_is_deterministic_and_certified():
 
 def test_branch_and_bound_beats_greedy_here():
     g = loop_graph(9)
-    greedy = compatibility_search(SearchConfig(g, 3, strategy="greedy"))
+    greedy = compatibility_search(SearchConfig(g, 3, time_budget=1e-9))
     bb = compatibility_search(SearchConfig(g, 3))
     assert bb.size > greedy.size
 
@@ -110,7 +113,7 @@ def test_tiny_budget_reports_not_exhausted():
     assert r.size >= 8
     assert r.certified
     # the budget ends before the rows are built, leaving the greedy words
-    assert r.codewords == compatibility_search(SearchConfig(g, 3, strategy="greedy")).codewords
+    assert [mask_of(w, 9) for w in r.codewords] == [0, 31, 70, 89, 140, 147, 202, 213]
 
 
 def test_triangle_collapses_to_the_empty_word():
@@ -188,3 +191,59 @@ def test_exhausted_search_is_a_maximum_clique():
         adjacent = {a: {b for b in words if b != a and a ^ b not in f} for a in words}
         assert r.size == _bron_kerbosch_maximum(adjacent)
     assert exhausted >= 15
+
+
+def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    return Graph.from_edges(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p])
+
+
+def test_forbidden_differences_match_two_word_certificates():
+    # a second route to the pairwise rule: {}, m is a code at distance d
+    # exactly when m is not a forbidden difference; most of these graphs
+    # have an error below d that reduces to the empty pattern
+    rng = random.Random(1)
+    cases = [(loop_graph(3), 3), (loop_graph(4), 3)]
+    for _ in range(15):
+        n, d = rng.randint(4, 7), rng.choice((2, 3))
+        cases.append((_random_graph(rng, n, 0.5), d))
+    assert sum(empty_pattern_present(g, d - 1) for g, d in cases) >= 10
+    for g, d in cases:
+        f = forbidden_differences(g, d - 1)
+        for m in range(1, 1 << g.n):
+            w = vertices_of(m)
+            assert (w in f) == (not certify((frozenset(), w), g, d)), (g, d, m)
+
+
+def test_searches_with_an_empty_pattern_certify_exhausted_or_cut():
+    rng = random.Random(8)
+    exhausted = cut = 0
+    for _ in range(10):
+        n, d = rng.randint(8, 10), rng.choice((2, 3))
+        g = _random_graph(rng, n, 0.3)
+        if not empty_pattern_present(g, d - 1):
+            continue
+        for budget in (0.05, 0.5):
+            r = compatibility_search(SearchConfig(g, d, time_budget=budget))
+            assert r.certified, (g, d, budget)
+            exhausted += r.exhausted
+            cut += budget == 0.05 and not r.exhausted
+    assert exhausted >= 10
+    assert cut >= 1
+
+
+# exhausted words on two graphs where no error below distance 3 reduces
+# to the empty pattern; bit a-1 is vertex a
+NO_EMPTY_PATTERN_D3_MASKS = [
+    ((212, 296, 161, 146, 105, 470, 177, 109, 34), [0, 7, 25, 30, 267, 268, 274, 277]),
+    ((336, 204, 170, 54, 329, 140, 19, 38, 17),
+     [0, 79, 153, 158, 212, 247, 314, 373, 386, 417, 491, 492]),
+]
+
+
+@pytest.mark.parametrize("rows, masks", NO_EMPTY_PATTERN_D3_MASKS)
+def test_exhausted_words_without_an_empty_pattern(rows, masks):
+    g = Graph(len(rows), rows)
+    assert not empty_pattern_present(g, 2)
+    r = compatibility_search(SearchConfig(g, 3))
+    assert r.exhausted and r.certified
+    assert [mask_of(w, g.n) for w in r.codewords] == masks
