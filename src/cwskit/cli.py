@@ -19,9 +19,8 @@ import time
 from . import __version__
 from .cwscode import (
     CwsCode,
-    _first_failing_weight,
     _kl_report,
-    distance,
+    _weight_scans,
     error_pattern_set,
     error_patterns,
     kl_verify,
@@ -30,6 +29,8 @@ from .cwscode import (
     the_9_12_3,
     transition_set,
 )
+# unused since the commands scan through `_weight_scans`; bench/tracing.py patches it here
+from .cwscode import distance  # noqa: F401
 from .files import read_code, read_graph, render_code
 # unused since `files` reads each input once; bench/tracing.py patches them here
 from .files import load_code, resolve_graph_reference  # noqa: F401
@@ -121,7 +122,9 @@ def _cmd_verify(args):
 def _cmd_distance(args):
     code, inputs = _code_inputs(args)
     max_d = args.max if args.max is not None else code.n
-    found, violations = _first_failing_weight(code, max_d, True)
+    found, violations = next(
+        ((d, v) for d, v, _ in _weight_scans(code, max_d, True) if v), (None, [])
+    )
     payload = {
         "passed": True,
         "distance": found,
@@ -212,28 +215,24 @@ def _cmd_projector(args):
 
 def _cmd_enumerator(args):
     code, inputs = _code_inputs(args)
-    payload = {"passed": True, "counts": {"codewords": code.size}}
-    pretty = []
-    if args.method in ("fast", "brute"):
-        result = weight_enumerator(code, args.method)
-        payload["method"] = args.method
-        payload["a"] = list(result.a)
-        payload["sum"] = sum(result.a)
-    else:
-        fast = weight_enumerator(code, "fast")
-        brute = weight_enumerator(code, "brute")
-        payload["method"] = "both"
-        payload["a"] = list(fast.a)
-        payload["brute_a"] = list(brute.a)
-        payload["sum"] = sum(fast.a)
-        payload["methods_agree"] = fast == brute
-        payload["passed"] = fast == brute
-        pretty.append(f"fast and brute agree: {fast == brute}")
+    fast = weight_enumerator(code, "fast")
+    brute = weight_enumerator(code, "brute")
+    agree = fast == brute
+    payload = {
+        "passed": agree,
+        "counts": {"codewords": code.size},
+        "method": "both",
+        "a": list(fast.a),
+        "brute_a": list(brute.a),
+        "sum": sum(fast.a),
+        "methods_agree": agree,
+    }
     pretty = [
-        " ".join(f"A_{d}={v}" for d, v in enumerate(payload["a"])),
+        " ".join(f"A_{d}={v}" for d, v in enumerate(fast.a)),
         f"sum: {payload['sum']}",
-    ] + pretty
-    return payload, inputs, 0 if payload["passed"] else 1, pretty
+        f"fast and brute agree: {agree}",
+    ]
+    return payload, inputs, 0 if agree else 1, pretty
 
 
 def _cmd_statevec(args):
@@ -289,14 +288,18 @@ def _cmd_paper_demo(args):
     code = the_9_12_3()
     checks = []
 
-    report = kl_verify(code, 2)
+    # one pass over weights 1..3: weights 1-2 give the weight-2 verdict,
+    # the first failing weight gives the distance
+    scans = [(d, bool(found), pure) for d, found, pure in _weight_scans(code, 3, False)]
+    passed = not any(failed for _, failed, _ in scans[:2])
+    pure = passed and all(p for *_, p in scans[:2])
+    found = next((d for d, failed, _ in scans if failed), None)
     checks.append({
         "name": "error conditions hold to weight 2",
-        "passed": report.passed and report.pure,
-        "detail": f"passed={report.passed} pure={report.pure}",
+        "passed": passed and pure,
+        "detail": f"passed={passed} pure={pure}",
     })
 
-    found = distance(code, 3)
     checks.append({
         "name": "distance is exactly 3",
         "passed": found == 3,
@@ -380,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerator", help="weight enumerator of the code projector")
     common(p, code=True)
-    p.add_argument("--method", choices=("fast", "brute", "both"), default="both")
     p.set_defaults(handler=_cmd_enumerator)
 
     p = sub.add_parser("statevec", help="graph state amplitudes as exact signs")

@@ -17,13 +17,16 @@ and 0 otherwise, where Z_D e s is a pure phase i**r.  So the diagonal is
 i**r (-1)**|x(e) & c| when D is empty, and the only non-zero off-diagonal
 elements sit on the codeword pairs whose transition is D.
 The scans take each error as its (x, z) mask pair from
-`pauli._error_masks`.  A `PauliOperator` appears only in reports, one
-per listed violation, and in `matrix_element`, which computes one
-element through explicit Pauli products and the graph-state overlap; it
-is the reference the scan is tested against.  `proof_check` never
-touches matrix elements: it reduces single- and two-qubit errors to
-phase-flip patterns and intersects them with the codeword transition
-set.  The routes must agree, and tests hold them to that.
+`pauli._error_masks`.  `_weight_scans` is the one loop over error
+weights: `kl_verify`, `distance` and the `distance` and `paper-demo`
+commands read it, so each scans a weight at most once.  A
+`PauliOperator` appears only in reports, one per listed violation, and
+in `matrix_element`, which computes one element through explicit Pauli
+products and the graph-state overlap; it is the reference the scan is
+tested against.  `proof_check` never touches matrix elements: it
+reduces single- and two-qubit errors to phase-flip patterns and
+intersects them with the codeword transition set.  The routes must
+agree, and tests hold them to that.
 """
 
 from __future__ import annotations
@@ -181,35 +184,28 @@ def _scan_errors(code: CwsCode, errors, collect: bool):
     return violations, pure
 
 
-def _first_failing_weight(
-    code: CwsCode, max_d: int, collect: bool
-) -> tuple[int | None, list[KLViolation]]:
-    """The first weight in 1..max_d whose scan finds a violation.
+def _weight_scans(code: CwsCode, max_weight: int, collect: bool):
+    """The one loop over error weights: (d, violations, pure) for d = 1..max_weight.
 
-    Returns (weight, violations) with every violation at that weight when
-    collect is true and only the first one otherwise, or (None, []) when
-    every weight scans clean.  Each weight's errors are scanned once.
+    The range is checked before the first scan.  Each weight's errors are
+    listed once and scanned when the caller asks for the next weight, so
+    a caller that stops early scans no further.
     """
-    if not 1 <= max_d <= code.n:
-        raise ValueError(f"max_d outside 1..{code.n}")
-    for d in range(1, max_d + 1):
-        violations, _ = _scan_errors(code, list(_error_masks(code.n, d)), collect)
-        if violations:
-            return d, violations
-    return None, []
+    if not 1 <= max_weight <= code.n:
+        raise ValueError(f"max_weight outside 1..{code.n}")
+    return (
+        (d, *_scan_errors(code, list(_error_masks(code.n, d)), collect))
+        for d in range(1, max_weight + 1)
+    )
 
 
 def _kl_report(
-    code: CwsCode,
-    max_weight: int,
-    violations: list[KLViolation],
-    pure: bool,
-    violation_cap: int = _VIOLATION_CAP,
+    code: CwsCode, max_weight: int, violations: list[KLViolation], pure: bool
 ) -> KLReport:
     """A KLReport on scanned violations, with operators only for the reported ones."""
     count = len(violations)
     reported = tuple(
-        v._replace(error=PauliOperator(code.n, *v.error)) for v in violations[:violation_cap]
+        v._replace(error=PauliOperator(code.n, *v.error)) for v in violations[:_VIOLATION_CAP]
     )
     return KLReport(
         checked_weight=max_weight,
@@ -217,43 +213,31 @@ def _kl_report(
         pure=pure and count == 0,
         violations=reported,
         violation_count=count,
-        violations_capped=count > violation_cap,
+        violations_capped=count > _VIOLATION_CAP,
     )
 
 
-def kl_verify(
-    code: CwsCode,
-    max_weight: int,
-    *,
-    violation_cap: int = _VIOLATION_CAP,
-) -> KLReport:
+def kl_verify(code: CwsCode, max_weight: int) -> KLReport:
     """Exhaustive scalar-matrix check over all errors of weight 1..max_weight.
 
     Passing with every scalar zero makes the code pure at this weight;
     passing with a non-zero scalar is the degenerate case and still
     counts as passing.  Violations are listed in error-enumeration order,
-    truncated at violation_cap with the count kept exact.
+    the first 1000 of them, with the count kept exact.
     """
-    if not 1 <= max_weight <= code.n:
-        raise ValueError(f"max_weight outside 1..{code.n}")
-    if violation_cap < 0:
-        raise ValueError("violation_cap must be non-negative")
-    all_violations: list[KLViolation] = []
-    pure = True
-    for d in range(1, max_weight + 1):
-        violations, weight_pure = _scan_errors(code, list(_error_masks(code.n, d)), True)
-        all_violations.extend(violations)
-        pure = pure and weight_pure
-    return _kl_report(code, max_weight, all_violations, pure, violation_cap)
+    scans = list(_weight_scans(code, max_weight, True))
+    violations = [v for _, found, _ in scans for v in found]
+    return _kl_report(code, max_weight, violations, all(pure for *_, pure in scans))
 
 
 def distance(code: CwsCode, max_d: int) -> int | None:
     """Smallest weight whose error scan breaks the scalar-matrix form.
 
     Returns None when every weight up to max_d scans clean, meaning the
-    distance is at least max_d + 1.
+    distance is at least max_d + 1.  No weight past the first failing one
+    is scanned.
     """
-    return _first_failing_weight(code, max_d, False)[0]
+    return next((d for d, violations, _ in _weight_scans(code, max_d, False) if violations), None)
 
 
 # ---------------------------------------------------------------------------

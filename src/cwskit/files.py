@@ -45,7 +45,11 @@ def _meaningful_lines(text: str) -> Iterator[tuple[int, str]]:
 def _read(path: Path) -> tuple[str, dict]:
     """The file's text plus its inputs record, hashed from the same bytes."""
     data = path.read_bytes()
-    return data.decode(), {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(path, data.count(b"\n", 0, exc.start) + 1, str(exc)) from None
+    return text, {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def read_graph(path: str | Path) -> tuple[Graph, dict]:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cwskit import __version__, cwscode
+from cwskit import __version__, cwscode, search
 from cwskit.cli import main
 from cwskit.dense import state_vector
 from cwskit.files import render_graph
@@ -156,6 +156,41 @@ def test_distance_scans_each_weight_once(capsys, monkeypatch):
     assert len(doc["payload"]["violations"]) == len(witness.violations)
 
 
+def test_paper_demo_scans_each_weight_once(capsys, monkeypatch):
+    scanned = []
+    scan = cwscode._scan_errors
+
+    def counted(code, errors, collect):
+        scanned.append(len(errors))
+        return scan(code, errors, collect)
+
+    monkeypatch.setattr(cwscode, "_scan_errors", counted)
+    code, doc, _ = run(capsys, "paper-demo")
+    assert code == 0
+    # one pass over weights 1, 2 and 3 gives both the weight-2 verdict and
+    # the distance
+    assert scanned == [27, 324, 2268]
+    details = {c["name"]: c["detail"] for c in doc["payload"]["checks"]}
+    assert details["error conditions hold to weight 2"] == "passed=True pure=True"
+    assert details["distance is exactly 3"] == "first failing weight: 3"
+
+
+def test_search_derives_the_pattern_set_once(capsys, monkeypatch):
+    calls = []
+    pattern_masks = cwscode._pattern_masks
+
+    def counted(g, max_weight):
+        calls.append(max_weight)
+        return pattern_masks(g, max_weight)
+
+    for module in (cwscode, search):
+        monkeypatch.setattr(module, "_pattern_masks", counted)
+    code, doc, _ = run(capsys, "search", "--min-size", "12")
+    assert code == 0
+    assert doc["payload"]["empty_pattern_present"] is False
+    assert calls == [2]
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_patterns_on_small_loops_leave_the_empty_pattern_unclassed(capsys, tmp_path, n):
     # some weight-<=2 errors on these loops reduce to the empty pattern
@@ -202,12 +237,19 @@ def test_projector_verdict(capsys):
 
 
 def test_enumerator_both_methods(capsys):
-    code, doc, _ = run(capsys, "enumerator", "--method", "both")
+    code, doc, _ = run(capsys, "enumerator")
     assert code == 0
+    assert doc["payload"]["method"] == "both"
     assert doc["payload"]["a"] == [144, 0, 0, 0, 96, 0, 1536, 3072, 1296, 0]
     assert doc["payload"]["brute_a"] == doc["payload"]["a"]
     assert doc["payload"]["methods_agree"]
     assert doc["payload"]["sum"] == 6144
+
+
+def test_removed_method_option_exits_two(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["enumerator", "--method", "fast"])
+    assert info.value.code == 2
 
 
 def test_statevec_signs_match_the_state(capsys):

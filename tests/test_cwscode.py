@@ -6,7 +6,10 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cwskit import cwscode
 from cwskit.cwscode import (
     CODEWORDS_9_12_3,
     CwsCode,
@@ -24,7 +27,7 @@ from cwskit.cwscode import (
 )
 from cwskit.dense import apply_pauli, inner_product, state_vector
 from cwskit.graphstate import Graph, loop_graph, vertex_stabilizer
-from cwskit.pauli import PauliOperator, enumerate_errors, parse_label, z_on
+from cwskit.pauli import PauliOperator, _error_masks, enumerate_errors, parse_label, z_on
 
 # Frozen from the published construction: the 31 distinct transitions of
 # the ((9,12,3)) code, written as digit strings.
@@ -205,16 +208,19 @@ def test_kl_scan_matches_matrix_elements_on_random_graphs():
 
 
 def test_violation_cap_keeps_exact_count():
-    code = CwsCode(loop_graph(9), (frozenset(), frozenset({1}), frozenset({2})))
-    full = kl_verify(code, 2)
-    capped = kl_verify(code, 2, violation_cap=3)
-    assert not full.violations_capped
-    assert capped.violations_capped
-    assert len(capped.violations) == 3
-    assert capped.violation_count == full.violation_count > 3
-    assert capped.violations == full.violations[:3]
-    with pytest.raises(ValueError):
-        kl_verify(code, 2, violation_cap=-1)
+    code = random_code(random.Random(5), 16)
+    report = kl_verify(code, 3)
+    # every violation of weights 1..3 in scan order, as (x, z) masks
+    scanned = [
+        v for d in range(1, 4) for v in cwscode._scan_errors(code, list(_error_masks(9, d)), True)[0]
+    ]
+    assert len(scanned) > 1000
+    assert report.violations_capped
+    assert len(report.violations) == 1000
+    assert report.violation_count == len(scanned)
+    assert report.violations == tuple(
+        v._replace(error=PauliOperator(9, *v.error)) for v in scanned[:1000]
+    )
 
 
 def test_scans_build_operators_only_for_reported_violations(monkeypatch):
@@ -254,11 +260,18 @@ def test_stabilizer_tables_do_not_accumulate_over_graphs():
     assert held < 2 * 1024 * 1024
 
 
-def test_kl_verify_weight_range_validation():
-    with pytest.raises(ValueError):
-        kl_verify(the_9_12_3(), 0)
-    with pytest.raises(ValueError):
-        kl_verify(the_9_12_3(), 10)
+def test_kl_verify_weight_range_validation(monkeypatch):
+    def no_scan(code, errors, collect):
+        raise AssertionError("scanned before the weight range was checked")
+
+    # the range is checked before any weight is scanned
+    monkeypatch.setattr(cwscode, "_scan_errors", no_scan)
+    with pytest.raises(ValueError, match="max_weight outside 1..9"):
+        cwscode._weight_scans(the_9_12_3(), 0, True)  # not iterated
+    for check in (kl_verify, distance):
+        for weight in (0, 10):
+            with pytest.raises(ValueError, match="max_weight outside 1..9"):
+                check(the_9_12_3(), weight)
 
 
 # --- distance ---------------------------------------------------------------
@@ -283,6 +296,25 @@ def test_distance_one_for_adjacent_codewords():
 def test_distance_open_ended_result_is_none():
     code = CwsCode(loop_graph(9), (frozenset(),))
     assert distance(code, 2) is None
+
+
+@st.composite
+def small_codes(draw):
+    n = draw(st.integers(3, 7))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    edges = [pq for pq in pairs if draw(st.booleans())]
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6, unique=True))
+    words = tuple(frozenset(v for v in range(1, n + 1) if m >> (v - 1) & 1) for m in masks)
+    return CwsCode(Graph.from_edges(n, edges), words)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(small_codes())
+def test_distance_is_the_first_weight_kl_verify_fails(code):
+    first_failing = next(
+        (w for w in range(1, code.n + 1) if not kl_verify(code, w).passed), None
+    )
+    assert distance(code, code.n) == first_failing
 
 
 # --- patterns ---------------------------------------------------------------

@@ -106,6 +106,25 @@ def test_code_file_diagnostics(tmp_path):
     assert err.line == 1
 
 
+def test_non_utf8_bytes_name_the_file_and_line(tmp_path):
+    code_path = tmp_path / "bytes.code"
+    code_path.write_bytes(b"graph builtin:loop9\n-\n1,2\xff\n")
+    with pytest.raises(FileFormatError) as info:
+        load_code(code_path)
+    assert (info.value.path, info.value.line) == (str(code_path), 3)
+    assert "0xff" in info.value.message
+    # a graph file named by a code file is the one reported
+    graph_path = tmp_path / "bytes.graph"
+    graph_path.write_bytes(b"n 3\n1 2\n\xfe 3\n")
+    (tmp_path / "ref.code").write_text("graph bytes.graph\n-\n")
+    for load, path in ((load_graph, graph_path), (load_code, tmp_path / "ref.code")):
+        with pytest.raises(FileFormatError) as info:
+            load(path)
+        assert Path(info.value.path).resolve() == graph_path.resolve()
+        assert info.value.line == 3
+        assert "0xfe" in info.value.message
+
+
 def test_oversized_graphs_rejected_before_building(tmp_path):
     # a 3000-vertex graph would take seconds to build and check; the header alone
     # is refused at the table cap every command needs

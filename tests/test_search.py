@@ -4,7 +4,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cwskit import cwscode, pauli
 from cwskit._masks import mask_of, vertices_of
 from cwskit.cwscode import kl_verify, the_9_12_3
 from cwskit.graphstate import Graph, loop_graph
@@ -212,6 +215,32 @@ def test_forbidden_differences_match_two_word_certificates():
         for m in range(1, 1 << g.n):
             w = vertices_of(m)
             assert (w in f) == (not certify((frozenset(), w), g, d)), (g, d, m)
+
+
+@st.composite
+def graphs_and_weights(draw):
+    n = draw(st.integers(3, 9))
+    edges = [e for e in combinations(range(1, n + 1), 2) if draw(st.booleans())]
+    return Graph.from_edges(n, edges), draw(st.integers(1, n))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(graphs_and_weights())
+def test_empty_pattern_rule_matches_the_error_enumeration(case):
+    g, w = case
+    assert empty_pattern_present(g, w) == (0 in cwscode._pattern_masks(g, w))
+
+
+def test_empty_pattern_rule_enumerates_no_errors(monkeypatch):
+    def no_errors(n, d):
+        raise AssertionError("errors enumerated")
+
+    monkeypatch.setattr(pauli, "_error_masks", no_errors)
+    monkeypatch.setattr(cwscode, "_error_masks", no_errors)
+    assert empty_pattern_present(loop_graph(11), 11)
+    assert not empty_pattern_present(loop_graph(11), 2)
+    with pytest.raises(ValueError, match="max_weight outside 1..11"):
+        empty_pattern_present(loop_graph(11), 12)
 
 
 def test_searches_with_an_empty_pattern_certify_exhausted_or_cut():
