@@ -236,7 +236,10 @@ def _cmd_enumerator(args):
 
 
 def _cmd_statevec(args):
-    from .dense import state_vector  # numpy is needed here only
+    try:
+        from .dense import state_vector  # numpy is needed here only
+    except ImportError as exc:
+        raise ValueError("statevec needs numpy; install cwskit[dense]") from exc
 
     g, inputs = _graph_inputs(args)
     state = state_vector(g)

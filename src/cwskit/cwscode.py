@@ -23,10 +23,10 @@ commands read it, so each scans a weight at most once.  A
 `PauliOperator` appears only in reports, one per listed violation, and
 in `matrix_element`, which computes one element through explicit Pauli
 products and the graph-state overlap; it is the reference the scan is
-tested against.  `proof_check` never touches matrix elements: it
-reduces single- and two-qubit errors to phase-flip patterns and
-intersects them with the codeword transition set.  The routes must
-agree, and tests hold them to that.
+tested against.  `proof_check` never touches matrix elements or lists
+errors: it sums single-qubit patterns up to weight 2 and intersects
+them with the codeword transition set.  The routes must agree, and
+tests hold them to that.
 """
 
 from __future__ import annotations
@@ -245,18 +245,40 @@ def distance(code: CwsCode, max_d: int) -> int | None:
 
 
 def _pattern_masks(g: Graph, max_weight: int) -> set[int]:
-    """Phase-flip patterns of all errors with weight 1..max_weight, as masks."""
+    """Non-empty phase-flip patterns of all errors with weight 1..max_weight, as masks.
+
+    The pattern of Z^v X^u is v + Gamma u over GF(2), a sum of single-qubit
+    steps: Z_a gives e_a, X_a gives row a and Y_a gives both.  The walk
+    adds one step per level, up to max_weight levels.  Two steps on the
+    same qubit sum to the third step or to 0, so a walk never needs a
+    qubit twice: a non-empty mask reached in k steps is the pattern of an
+    error of weight at most k, and every weight-k pattern is reached in k.
+    """
+    if not 1 <= max_weight <= g.n:
+        raise ValueError(f"max_weight outside 1..{g.n}")
+    steps = {s for a, row in enumerate(g.rows) for s in (1 << a, row, row ^ (1 << a))}
+    seen = frontier = {0}
+    for _ in range(max_weight):
+        frontier = {m ^ s for m in frontier for s in steps} - seen
+        seen = seen | frontier
+    return seen - {0}
+
+
+def _empty_pattern_xs(g: Graph, max_weight: int) -> list[int]:
+    """X parts u != 0 of the errors up to max_weight with the empty pattern.
+
+    Such an error is the stabilizer element s_u up to phase, of weight |u | z(s_u)|.
+    """
     if not 1 <= max_weight <= g.n:
         raise ValueError(f"max_weight outside 1..{g.n}")
     table = _stabilizer_table(g)
-    return {
-        z ^ table[x][0] for d in range(1, max_weight + 1) for x, z in _error_masks(g.n, d)
-    }
+    return [u for u in range(1, 1 << g.n) if (u | table[u][0]).bit_count() <= max_weight]
 
 
 def error_pattern_set(g: Graph, max_weight: int) -> frozenset[frozenset[int]]:
     """Reachable phase-flip patterns for any graph, untagged."""
-    return frozenset(vertices_of(m) for m in _pattern_masks(g, max_weight))
+    patterns = frozenset(vertices_of(m) for m in _pattern_masks(g, max_weight))
+    return patterns | {frozenset()} if _empty_pattern_xs(g, max_weight) else patterns
 
 
 def _loop_shape_classes(n: int) -> dict[int, set[int]]:
@@ -378,5 +400,5 @@ def proof_check(code: CwsCode) -> bool:
     """
     if not is_loop_graph(code.graph):
         raise ValueError("the counting argument is stated for loop graphs")
-    patterns = _pattern_masks(code.graph, 2)
-    return 0 not in patterns and not (_transition_masks(code) & patterns)
+    g = code.graph
+    return not _empty_pattern_xs(g, 2) and not (_transition_masks(code) & _pattern_masks(g, 2))

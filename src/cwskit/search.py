@@ -5,14 +5,13 @@ difference passes the verifier's pairwise rule (`forbidden_differences`).
 Candidate codewords therefore form a Cayley graph on the subsets of
 1..n, and code search is maximum clique.  The empty word is pinned into
 every clique: translating a valid set by one of its members keeps it
-valid, so nothing is lost.  The errors that reduce to the empty pattern
-are read once, from the stabilizer table (`_empty_pattern_xs`), by the
-forbidden set and by `empty_pattern_present` alike.
+valid, so nothing is lost.  The patterns and the empty-pattern errors
+come from `cwscode`, the one module that knows the pattern rule.
 
 Branch and bound builds each bitset row once, in mask order, then
 gathers the rows into the order it branches in.  The time budget is
-read in the row build, the gather and each search node; the forbidden
-set before them and the closing `certify` run unbudgeted.
+read in the row build, the gather and each search node.  The forbidden
+set before them lists no errors; only the closing `certify` is unbudgeted.
 
 Found sets are never trusted: `certify` reruns the full verifier.
 """
@@ -25,8 +24,8 @@ from operator import itemgetter
 from typing import Iterable
 
 from ._masks import vertices_of
-from .cwscode import CwsCode, _pattern_masks, kl_verify
-from .graphstate import Graph, _check_cap, _stabilizer_table
+from .cwscode import CwsCode, _empty_pattern_xs, _pattern_masks, kl_verify
+from .graphstate import Graph, _check_cap
 
 
 @dataclass(frozen=True)
@@ -51,20 +50,8 @@ class SearchResult:
     exhausted: bool
 
 
-def _empty_pattern_xs(g: Graph, max_weight: int) -> list[int]:
-    """X parts u != 0 of the errors up to max_weight with the empty pattern.
-
-    Such an error is the stabilizer element s_u up to phase, of weight |u | z(s_u)|.
-    """
-    if not 1 <= max_weight <= g.n:
-        raise ValueError(f"max_weight outside 1..{g.n}")
-    table = _stabilizer_table(g)
-    return [u for u in range(1, 1 << g.n) if (u | table[u][0]).bit_count() <= max_weight]
-
-
 def _forbidden_masks(g: Graph, max_weight: int) -> set[int]:
     forbidden = _pattern_masks(g, max_weight)
-    forbidden.discard(0)
     xs = _empty_pattern_xs(g, max_weight)
     forbidden.update(m for m in range(1, 1 << g.n) if any((m & u).bit_count() & 1 for u in xs))
     return forbidden

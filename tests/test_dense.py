@@ -37,6 +37,28 @@ print(json.dumps({"codes": codes, "numpy_before": numpy_before,
                   "state_n": cwskit.state_vector(cwskit.loop_graph(3)).n}))
 """
 
+# Runs every subcommand in a fresh interpreter that cannot import numpy.
+BLOCKED_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import cwskit, cwskit.cli
+
+def run(*argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return cwskit.cli.main(list(argv)), err.getvalue()
+
+commands = [("paper-demo",), ("verify",), ("distance",), ("patterns",), ("proofcheck",),
+            ("projector",), ("enumerator",), ("search", "--budget", "1"), ("statevec",)]
+print(json.dumps({c[0]: run(*c) for c in commands}))
+"""
+
+
+def subprocess_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH"))))
+    return env
+
 
 def imported_modules(tree):
     names = set()
@@ -68,10 +90,9 @@ def test_dense_uses_no_mask_helpers():
 
 
 def test_verification_path_does_not_import_numpy():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH"))))
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT], capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-c", SCRIPT], capture_output=True, text=True, env=subprocess_env(),
+        timeout=120,
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
@@ -90,3 +111,17 @@ def test_dense_names_stay_public():
         getattr(cwskit, name)
     with pytest.raises(AttributeError):
         cwskit.apply_pauli
+
+
+def test_every_command_but_statevec_runs_without_numpy():
+    done = subprocess.run(
+        [sys.executable, "-c", BLOCKED_SCRIPT], capture_output=True, text=True,
+        env=subprocess_env(), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout.splitlines()[-1])
+    assert {name: code for name, (code, _) in results.items()} == {
+        "paper-demo": 0, "verify": 0, "distance": 0, "patterns": 0, "proofcheck": 0,
+        "projector": 0, "enumerator": 0, "search": 0, "statevec": 2,
+    }
+    assert "cwskit[dense]" in results["statevec"][1]

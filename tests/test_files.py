@@ -1,15 +1,21 @@
 """Graph and code file parsing, rendering, and diagnostics."""
 
-import random
+import hashlib
+import tempfile
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwskit.cwscode import CwsCode, the_9_12_3
 from cwskit.files import (
     FileFormatError,
     load_code,
     load_graph,
+    read_code,
+    read_graph,
     render_code,
     render_graph,
     resolve_graph_reference,
@@ -25,18 +31,6 @@ def test_shipped_graph_file_is_the_builtin_loop():
 
 def test_shipped_code_file_is_the_builtin_code():
     assert load_code(DATA / "code_9_12_3.code") == the_9_12_3()
-
-
-def test_graph_roundtrip(tmp_path):
-    rng = random.Random(21)
-    for _ in range(10):
-        n = rng.randint(1, 8)
-        edges = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
-                 if rng.random() < 0.4]
-        g = Graph.from_edges(n, edges)
-        path = tmp_path / "g.graph"
-        path.write_text(render_graph(g))
-        assert load_graph(path) == g
 
 
 def test_code_roundtrip_with_builtin_reference(tmp_path):
@@ -159,3 +153,47 @@ def test_resolve_builtin_reference():
 def test_render_code_uses_dash_for_the_empty_word():
     code = CwsCode(loop_graph(3), (frozenset(), frozenset({1, 3})))
     assert render_code(code, "builtin:loop3") == "graph builtin:loop3\n-\n1,3\n"
+
+
+# A function-scoped tmp_path would be shared by every Hypothesis example
+# and trips its health check, so these round trips make their own
+# temporary directory.
+@st.composite
+def random_graphs(draw, largest: int = 14):
+    n = draw(st.integers(1, largest))
+    return Graph.from_edges(n, [e for e in combinations(range(1, n + 1), 2) if draw(st.booleans())])
+
+
+def random_words(draw, n: int) -> tuple[frozenset[int], ...]:
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12, unique=True))
+    return tuple(frozenset(a for a in range(1, n + 1) if m >> (a - 1) & 1) for m in masks)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(random_graphs())
+def test_graph_roundtrip(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.graph"
+        path.write_text(render_graph(g))
+        read, inputs = read_graph(path)
+    assert read == g
+    assert inputs["graph"]["sha256"] == hashlib.sha256(render_graph(g).encode()).hexdigest()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.data())
+def test_render_read_code_roundtrip(data):
+    g = data.draw(random_graphs(10), "graph")
+    code = CwsCode(g, random_words(data.draw, g.n))
+    k = data.draw(st.integers(3, 14), "loop")
+    loop_code = CwsCode(loop_graph(k), random_words(data.draw, k))
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "g.graph").write_text(render_graph(g))
+        (Path(tmp) / "c.code").write_text(render_code(code, "g.graph"))
+        (Path(tmp) / "loop.code").write_text(render_code(loop_code, f"builtin:loop{k}"))
+        read, inputs = read_code(Path(tmp) / "c.code")
+        read_loop, loop_inputs = read_code(Path(tmp) / "loop.code")
+    assert read == code
+    assert inputs["graph"]["path"] == str((Path(tmp) / "g.graph").resolve())
+    assert read_loop == loop_code
+    assert loop_inputs["graph"] == {"builtin": f"loop{k}"}

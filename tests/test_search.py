@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwskit import cwscode, pauli
+from cwskit import cli, cwscode, pauli
 from cwskit._masks import mask_of, vertices_of
-from cwskit.cwscode import kl_verify, the_9_12_3
-from cwskit.graphstate import Graph, loop_graph
+from cwskit.cwscode import error_pattern_set, kl_verify, proof_check, the_9_12_3
+from cwskit.graphstate import Graph, loop_graph, reduce_error, stabilizer_element
+from cwskit.pauli import enumerate_errors, mul
 from cwskit.search import (
     SearchConfig,
     certify,
@@ -217,30 +218,76 @@ def test_forbidden_differences_match_two_word_certificates():
             assert (w in f) == (not certify((frozenset(), w), g, d)), (g, d, m)
 
 
+def least_pattern_weights(g: Graph) -> dict[int, int]:
+    """Least weight of an error reaching each pattern mask, by enumeration.
+
+    The reference for the pattern walk and the empty-pattern rule.  Each
+    error e reduces as in `reduce_error`, to the z mask of e times the
+    stabilizer element sharing its x mask, but each element is multiplied
+    out once.  It shares neither the walk nor the stabilizer table.
+    """
+    stab = [stabilizer_element(g, vertices_of(u)) for u in range(1 << g.n)]
+    least: dict[int, int] = {}
+    for d in range(1, g.n + 1):
+        for e in enumerate_errors(g.n, d):
+            least.setdefault(mul(e, stab[e.x]).z, d)
+    return least
+
+
+@st.composite
+def random_graphs(draw, smallest: int = 1):
+    n = draw(st.integers(smallest, 9))
+    return Graph.from_edges(n, [e for e in combinations(range(1, n + 1), 2) if draw(st.booleans())])
+
+
 @st.composite
 def graphs_and_weights(draw):
-    n = draw(st.integers(3, 9))
-    edges = [e for e in combinations(range(1, n + 1), 2) if draw(st.booleans())]
-    return Graph.from_edges(n, edges), draw(st.integers(1, n))
+    g = draw(random_graphs(3))
+    return g, draw(st.integers(1, g.n))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(random_graphs())
+def test_pattern_walk_matches_the_error_enumeration(g):
+    least = least_pattern_weights(g)
+    for w in range(1, g.n + 1):
+        assert cwscode._pattern_masks(g, w) == {m for m, d in least.items() if m and d <= w}
+        assert empty_pattern_present(g, w) == (least.get(0, w + 1) <= w)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(graphs_and_weights())
 def test_empty_pattern_rule_matches_the_error_enumeration(case):
     g, w = case
-    assert empty_pattern_present(g, w) == (0 in cwscode._pattern_masks(g, w))
+    errors = (e for d in range(1, w + 1) for e in enumerate_errors(g.n, d))
+    assert empty_pattern_present(g, w) == any(not reduce_error(g, e).pattern for e in errors)
 
 
-def test_empty_pattern_rule_enumerates_no_errors(monkeypatch):
+@pytest.fixture
+def no_error_enumeration(monkeypatch):
     def no_errors(n, d):
         raise AssertionError("errors enumerated")
 
     monkeypatch.setattr(pauli, "_error_masks", no_errors)
     monkeypatch.setattr(cwscode, "_error_masks", no_errors)
+
+
+def test_empty_pattern_rule_enumerates_no_errors(no_error_enumeration):
     assert empty_pattern_present(loop_graph(11), 11)
     assert not empty_pattern_present(loop_graph(11), 2)
     with pytest.raises(ValueError, match="max_weight outside 1..11"):
         empty_pattern_present(loop_graph(11), 12)
+
+
+def test_pattern_route_enumerates_no_errors(no_error_enumeration):
+    assert len(error_pattern_set(loop_graph(12), 12)) == 4096
+    for weight in (0, 13):
+        with pytest.raises(ValueError, match="max_weight outside 1..12"):
+            error_pattern_set(loop_graph(12), weight)
+    assert len(forbidden_differences(loop_graph(11), 11)) == (1 << 11) - 1
+    assert proof_check(the_9_12_3())
+    assert cli.main(["patterns"]) == 0
+    assert cli.main(["proofcheck"]) == 0
 
 
 def test_searches_with_an_empty_pattern_certify_exhausted_or_cut():
