@@ -26,12 +26,12 @@ products and the graph-state overlap; it is the reference the scan is
 tested against.  `proof_check` never touches matrix elements or lists
 errors: it sums single-qubit patterns up to weight 2 and intersects
 them with the codeword transition set.  The routes must agree, and
-tests hold them to that.
+tests hold them to that.  `error_patterns` is that walk grouped by
+size on a loop, and `reduced_transitions` is that transition set.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -281,71 +281,24 @@ def error_pattern_set(g: Graph, max_weight: int) -> frozenset[frozenset[int]]:
     return patterns | {frozenset()} if _empty_pattern_xs(g, max_weight) else patterns
 
 
-def _loop_shape_classes(n: int) -> dict[int, set[int]]:
-    """Closed-form pattern classes on the n-vertex loop, keyed by size 1..6.
-
-    Each shape is a product of Z factors at positions written relative to
-    one or two anchors; repeated positions cancel, and an instantiation
-    belongs to the class matching its surviving size.
-    """
-
-    def m(*vs: int) -> int:
-        mask = 0
-        for v in vs:
-            mask ^= 1 << ((v - 1) % n)
-        return mask
-
-    shape_sets: dict[int, set[int]] = {k: set() for k in range(1, 7)}
-
-    def put(k: int, mask: int) -> None:
-        if mask.bit_count() == k:
-            shape_sets[k].add(mask)
-
-    vertices = range(1, n + 1)
-    for a in vertices:
-        put(1, m(a))
-        # the two offset signs are independent, giving four orientations
-        put(3, m(a, a + 1, a + 3))
-        put(3, m(a, a - 1, a - 3))
-        put(3, m(a, a - 1, a + 3))
-        put(3, m(a, a + 1, a - 3))
-        put(4, m(a - 2, a - 1, a + 1, a + 2))
-        for b in vertices:
-            if b != a:
-                put(2, m(a, b))
-                put(4, m(a - 1, a + 1, b - 1, b + 1))
-                put(4, m(a - 1, a, a + 1, b))
-                put(5, m(a - 1, a, a + 1, b - 1, b + 1))
-                put(6, m(a - 1, a, a + 1, b - 1, b, b + 1))
-            put(3, m(a - 1, b, a + 1))
-    return shape_sets
-
-
 def error_patterns(g: Graph) -> dict[int, frozenset[frozenset[int]]]:
     """Weight-<=2 phase-flip patterns on a loop, tagged by class 1..6.
 
-    Class k holds the patterns flipping exactly k qubits.  The empty
-    pattern, which some errors reach on loops of 3 and 4 vertices, is in
-    no class; `search.empty_pattern_present` reports it.  On loops of at
-    least 7 vertices each class is checked against its closed form; other
-    graphs have no class structure, so tagging is refused and
-    `error_pattern_set` serves the raw set instead.
+    Class k holds the patterns flipping exactly k qubits: the walk of
+    `_pattern_masks(g, 2)` grouped by size.  On a loop each single-qubit
+    step flips at most three qubits, so a two-step pattern flips at most
+    six and the six classes cover the walk.  The empty pattern, which
+    some errors reach on loops of 3 and 4 vertices, is in no class;
+    `search.empty_pattern_present` reports it.  Other graphs have no
+    class structure, so tagging is refused and `error_pattern_set`
+    serves the raw set instead.
     """
     if not is_loop_graph(g):
         raise ValueError("pattern classes are defined on loop graphs; use error_pattern_set")
-    masks = _pattern_masks(g, 2)
-    classes = {k: frozenset(m for m in masks if m.bit_count() == k) for k in range(1, 7)}
-    leftovers = {m for m in masks if m.bit_count() > 6}
-    if leftovers:
-        raise RuntimeError(f"loop pattern outside size 1..6: {sorted(leftovers)}")
-    if g.n >= 7:
-        shapes = _loop_shape_classes(g.n)
-        for k in range(1, 7):
-            if classes[k] != frozenset(shapes[k]):
-                raise RuntimeError(f"class {k} patterns differ from their closed form")
-    return {
-        k: frozenset(vertices_of(m) for m in masks_k) for k, masks_k in classes.items()
-    }
+    classes: dict[int, set[frozenset[int]]] = {k: set() for k in range(1, 7)}
+    for m in _pattern_masks(g, 2):
+        classes[m.bit_count()].add(vertices_of(m))
+    return {k: frozenset(members) for k, members in classes.items()}
 
 
 def _transition_masks(code: CwsCode) -> set[int]:
@@ -360,34 +313,16 @@ def transition_set(code: CwsCode) -> frozenset[frozenset[int]]:
 
 
 def reduced_transitions(code: CwsCode) -> frozenset[frozenset[int]]:
-    """Transition set collapsed through the half-shift structure.
+    """The transitions as the half-shift structure generates them: the transition set.
 
-    When the second half of the codeword list is the first half shifted
-    by a fixed pivot subset p (and the first codeword is empty), every
-    transition equals p, a first-half difference, or p plus one, so those
-    generators are returned.  Codes without the structure fall back to
-    the plain transition set with a warning.
+    When the first codeword is empty and the second half of the list is
+    the first half shifted by a pivot subset p, pairs within one half
+    give the first-half differences d, and pairs across the halves give
+    p + d, or p itself when both words sit at the same place in their
+    halves.  Those are exactly the transitions, so the reduced set is
+    `transition_set(code)` on every code, with the structure or without.
     """
-    masks = _codeword_masks(code)
-    k = len(masks)
-    half = k // 2
-    structured = (
-        k >= 2
-        and k % 2 == 0
-        and masks[0] == 0
-        and all(masks[half + t] == masks[t] ^ masks[half] for t in range(half))
-    )
-    if not structured:
-        warnings.warn("codeword list lacks the half-shift structure; returning transition_set")
-        return transition_set(code)
-    pivot = masks[half]
-    out = {pivot}
-    for i in range(half):
-        for j in range(i + 1, half):
-            d = masks[i] ^ masks[j]
-            out.add(d)
-            out.add(pivot ^ d)
-    return frozenset(vertices_of(m) for m in out)
+    return transition_set(code)
 
 
 def proof_check(code: CwsCode) -> bool:

@@ -3,9 +3,9 @@
 Graph files: a header line `n <count>`, then one `a b` line per edge
 with 1-based labels and a < b.  Code files: a `graph <ref>` line naming
 the underlying graph, then one codeword line each, comma-separated
-labels with `-` standing for the empty word.  The graph reference is a
-path relative to the code file, or `builtin:loop<k>` for a loop without
-a separate file.
+labels with `-` standing for the empty word.  The graph reference is
+the rest of that line, so a path may contain spaces: a path relative to
+the code file, or `builtin:loop<k>` for a loop without a separate file.
 
 Blank lines and `#` comments are skipped everywhere.  All structural
 complaints carry the file and line they point at.  A vertex count over
@@ -142,10 +142,11 @@ def read_code(path: str | Path) -> tuple[CwsCode, dict]:
     if not lines:
         raise FileFormatError(path, 1, "empty code file")
     number, header = lines[0]
-    if not header.startswith("graph ") or len(header.split()) != 2:
+    ref = header[len("graph "):].strip() if header.startswith("graph ") else ""
+    if not ref:
         raise FileFormatError(path, number, f"expected 'graph <ref>', got {header!r}")
     try:
-        graph, graph_record = resolve_graph_reference(header.split()[1], path.parent)
+        graph, graph_record = resolve_graph_reference(ref, path.parent)
     except (OSError, ValueError) as exc:
         if isinstance(exc, FileFormatError):
             raise

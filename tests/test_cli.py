@@ -3,6 +3,7 @@
 import builtins
 import hashlib
 import json
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -10,9 +11,10 @@ import pytest
 
 from cwskit import __version__, cwscode, search
 from cwskit.cli import main
+from cwskit.cwscode import CODEWORDS_9_12_3, CwsCode
 from cwskit.dense import state_vector
-from cwskit.files import render_graph
-from cwskit.graphstate import loop_graph
+from cwskit.files import read_code, render_code, render_graph
+from cwskit.graphstate import Graph, loop_graph
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -307,6 +309,43 @@ def test_paper_demo_all_green(capsys):
     assert len(checks) == 5
     assert all(c["passed"] for c in checks)
     assert "all checks pass" in err
+
+
+def test_no_command_writes_to_stderr_without_pretty(capsys, tmp_path):
+    # paper-demo always prints its table, so it is left out; the eleven
+    # builtin words lack the half-shift structure, and the path graph is
+    # not a loop.  A warning would reach stderr outside pytest, which
+    # records it instead, so warnings are collected here as well
+    code_commands = ("verify", "distance", "proofcheck", "projector", "enumerator")
+    graph_commands = ("patterns", "statevec", "search")
+    code_file = tmp_path / "eleven.code"
+    eleven = CwsCode(loop_graph(9), CODEWORDS_9_12_3[:11])
+    code_file.write_text(render_code(eleven, "builtin:loop9"))
+    graph_file = tmp_path / "path.graph"
+    graph_file.write_text(render_graph(Graph.from_edges(6, [(a, a + 1) for a in range(1, 6)])))
+    runs = [[command] for command in code_commands + graph_commands]
+    runs += [[command, "--code", str(code_file)] for command in code_commands]
+    runs += [[command, "--graph", str(graph_file)] for command in graph_commands]
+    for argv in runs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, doc, err = run(capsys, *argv)
+        assert code in (0, 1) and doc is not None, argv
+        assert (err, [str(w.message) for w in caught]) == ("", []), argv
+
+
+def test_search_code_file_names_a_graph_path_with_spaces(capsys, tmp_path):
+    graph_file = tmp_path / "my dir" / "loop 9.graph"
+    graph_file.parent.mkdir()
+    graph_file.write_text(render_graph(loop_graph(9)))
+    code, doc, _ = run(capsys, "search", "--graph", str(graph_file))
+    assert code == 0
+    code_file = tmp_path / "found.code"
+    code_file.write_text(doc["payload"]["code_file"])
+    found, inputs = read_code(code_file)
+    assert found.graph == loop_graph(9)
+    assert [sorted(c) for c in found.codewords] == doc["payload"]["codewords"]
+    assert inputs["graph"] == doc["inputs"]["graph"]
 
 
 def test_pretty_goes_to_stderr(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from cwskit.cwscode import (
     transition_set,
 )
 from cwskit.dense import apply_pauli, inner_product, state_vector
-from cwskit.graphstate import Graph, loop_graph, vertex_stabilizer
+from cwskit.graphstate import Graph, loop_graph, reduce_error, vertex_stabilizer
 from cwskit.pauli import PauliOperator, _error_masks, enumerate_errors, parse_label, z_on
 
 # Frozen from the published construction: the 31 distinct transitions of
@@ -67,7 +68,8 @@ def test_builtin_code_shape():
     assert code.codewords[0] == frozenset()
     assert code.codewords == CODEWORDS_9_12_3
     assert code.graph == loop_graph(9)
-    # the second half is the first half shifted by {1,4,7}
+    # the second half is the first half shifted by {1,4,7}; only this test
+    # checks it, since the library's transitions need no such structure
     shift = frozenset({1, 4, 7})
     for k in range(6):
         assert code.codewords[k + 6] == code.codewords[k] ^ shift
@@ -348,9 +350,17 @@ def test_error_patterns_refused_off_loop():
 
 
 def test_pattern_classes_hold_on_other_loop_sizes():
-    for n in (7, 8, 10, 11):
-        classes = error_patterns(loop_graph(n))
-        assert sum(len(v) for v in classes.values()) == len(error_pattern_set(loop_graph(n), 2))
+    # the reference multiplies out every error of weight <= 2 and reduces
+    # it, sharing nothing with the walk that error_patterns groups
+    for n in range(3, 13):
+        g = loop_graph(n)
+        expected: dict[int, set[frozenset[int]]] = {k: set() for k in range(1, 7)}
+        for w in (1, 2):
+            for e in enumerate_errors(n, w):
+                pattern = reduce_error(g, e).pattern
+                if pattern:
+                    expected[len(pattern)].add(pattern)
+        assert error_patterns(g) == {k: frozenset(v) for k, v in expected.items()}, n
 
 
 def test_pattern_set_monotone_in_weight():
@@ -386,11 +396,13 @@ def test_transition_set_collapses_onto_reduced_set():
     assert transition_set(code) == reduced_transitions(code)
 
 
-def test_reduced_transitions_fallback_warns():
+def test_reduced_transitions_without_the_half_shift_are_the_transition_set():
+    # eleven words lack the half-shift structure; the reduced set is still
+    # the transition set, and no warning is raised
     code = CwsCode(loop_graph(9), CODEWORDS_9_12_3[:11])
-    with pytest.warns(UserWarning, match="half-shift"):
-        out = reduced_transitions(code)
-    assert out == transition_set(code)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert reduced_transitions(code) == transition_set(code)
 
 
 # --- the counting-argument route --------------------------------------------

@@ -98,6 +98,8 @@ def test_code_file_diagnostics(tmp_path):
     assert "no codeword" in err.message
     err = checked_load_code(tmp_path, "graph nowhere.graph\n-\n")
     assert err.line == 1
+    err = checked_load_code(tmp_path, "graph \n-\n")
+    assert err.line == 1 and "expected 'graph <ref>'" in err.message
 
 
 def test_non_utf8_bytes_name_the_file_and_line(tmp_path):
@@ -188,12 +190,14 @@ def test_render_read_code_roundtrip(data):
     k = data.draw(st.integers(3, 14), "loop")
     loop_code = CwsCode(loop_graph(k), random_words(data.draw, k))
     with tempfile.TemporaryDirectory() as tmp:
-        (Path(tmp) / "g.graph").write_text(render_graph(g))
-        (Path(tmp) / "c.code").write_text(render_code(code, "g.graph"))
+        (Path(tmp) / "sub dir").mkdir()
+        for ref in ("g.graph", "sub dir/g 1.graph"):
+            (Path(tmp) / ref).write_text(render_graph(g))
+            (Path(tmp) / "c.code").write_text(render_code(code, ref))
+            read, inputs = read_code(Path(tmp) / "c.code")
+            assert read == code
+            assert inputs["graph"]["path"] == str((Path(tmp) / ref).resolve())
         (Path(tmp) / "loop.code").write_text(render_code(loop_code, f"builtin:loop{k}"))
-        read, inputs = read_code(Path(tmp) / "c.code")
         read_loop, loop_inputs = read_code(Path(tmp) / "loop.code")
-    assert read == code
-    assert inputs["graph"]["path"] == str((Path(tmp) / "g.graph").resolve())
     assert read_loop == loop_code
     assert loop_inputs["graph"] == {"builtin": f"loop{k}"}

@@ -13,6 +13,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwskit.dense import DenseState, apply_pauli, dense_matrix, inner_product, state_vector
 from cwskit.graphstate import (
@@ -342,6 +344,26 @@ def test_reduce_error_dense_soundness():
             flip = -1 if len([v for v in b if e.x >> (v - 1) & 1]) % 2 else 1
             rhs = sign * flip * apply_pauli(shifted, z_on(9, sorted(s))).amps
             assert np.array_equal(lhs, rhs)
+
+
+@st.composite
+def errors_and_subsets(draw):
+    n = draw(st.integers(1, 8))
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    g = Graph.from_edges(n, [e for e in pairs if draw(st.booleans())])
+    masks = st.integers(0, (1 << n) - 1)
+    e = PauliOperator(n, draw(masks), draw(masks), draw(st.integers(0, 3)))
+    u = [a for a in range(1, n + 1) if draw(st.booleans())]
+    return g, e, u
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(errors_and_subsets())
+def test_reduce_error_is_invariant_under_the_stabilizer(case):
+    # the vertex stabilizers commute and square to I, so s_U s_V = s_{U+V}
+    # exactly and e s_U reduces to e's pattern with e's sign
+    g, e, u = case
+    assert reduce_error(g, mul(e, stabilizer_element(g, u))) == reduce_error(g, e)
 
 
 def test_reduce_error_weight_guard_none():
