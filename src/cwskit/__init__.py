@@ -17,7 +17,6 @@ from .cwscode import (
     kl_verify,
     matrix_element,
     proof_check,
-    reduced_transitions,
     the_9_12_3,
     transition_set,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "proof_check",
     "projector_from_codewords",
     "reduce_error",
-    "reduced_transitions",
     "render_code",
     "render_graph",
     "render_label",

@@ -3,10 +3,12 @@
 Every subcommand writes one JSON document to standard output: tool,
 version, subcommand, the inputs it ran on (paths with the hashes of the
 bytes that were parsed, or builtin markers), elapsed time, and a
-payload.  Files are read and described by `files`.  `--pretty` adds a
-human-readable rendering on standard error without touching the JSON.
+payload.  `main` reads each command's code or graph, from its file
+through `files` or the builtin, before the handler runs, and it alone
+sets the exit code.  `--pretty` adds a human-readable rendering on
+standard error without touching the JSON.
 
-Exit codes: 0 pass, 1 verification failure, 2 malformed input.
+Exit codes: 0 pass, 1 when `payload["passed"]` is false, 2 malformed input.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .cwscode import (
     error_patterns,
     kl_verify,
     proof_check,
-    reduced_transitions,
     the_9_12_3,
     transition_set,
 )
@@ -47,17 +48,15 @@ from .pauli import PauliOperator, render_label
 from .search import SearchConfig, compatibility_search, empty_pattern_present
 
 
-def _code_inputs(args) -> tuple:
-    """The code to work on plus its self-describing inputs block."""
-    if args.code is None:
+def _read_input(args) -> tuple:
+    """The command's graph if it takes `--graph`, else its code, plus the inputs block."""
+    if "graph" in args:
+        if args.graph is None:
+            return loop_graph(9), {"graph": {"builtin": "loop9"}}
+        return read_graph(args.graph)
+    if getattr(args, "code", None) is None:  # paper-demo takes no --code
         return the_9_12_3(), {"code": {"builtin": "the_9_12_3"}}
     return read_code(args.code)
-
-
-def _graph_inputs(args) -> tuple:
-    if args.graph is None:
-        return loop_graph(9), {"graph": {"builtin": "loop9"}}
-    return read_graph(args.graph)
 
 
 def _exact_value(v: complex) -> str:
@@ -91,11 +90,10 @@ def _eprint(*lines: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (payload, inputs, exit_code, pretty_lines)
+# Subcommand handlers: each takes (args, code or graph), returns (payload, pretty_lines)
 
 
-def _cmd_verify(args):
-    code, inputs = _code_inputs(args)
+def _cmd_verify(args, code):
     report = kl_verify(code, args.weight)
     payload = {
         "passed": report.passed,
@@ -116,11 +114,10 @@ def _cmd_verify(args):
         f"  {row['error']}  <{row['i']}|E|{row['j']}> = {row['value']}"
         for row in payload["violations"][:20]
     ]
-    return payload, inputs, 0 if report.passed else 1, pretty
+    return payload, pretty
 
 
-def _cmd_distance(args):
-    code, inputs = _code_inputs(args)
+def _cmd_distance(args, code):
     max_d = args.max if args.max is not None else code.n
     found, violations = next(
         ((d, v) for d, v, _ in _weight_scans(code, max_d, True) if v), (None, [])
@@ -140,11 +137,10 @@ def _cmd_distance(args):
         f"distance: {found if found is not None else f'> {max_d}'}"
         f" (scanned weights 1..{max_d})",
     ]
-    return payload, inputs, 0, pretty
+    return payload, pretty
 
 
-def _cmd_patterns(args):
-    g, inputs = _graph_inputs(args)
+def _cmd_patterns(args, g):
     patterns = error_pattern_set(g, args.weight)
     payload = {
         "passed": True,
@@ -157,21 +153,22 @@ def _cmd_patterns(args):
         classes = error_patterns(g)
         payload["counts"]["classes"] = {str(k): len(v) for k, v in sorted(classes.items())}
         pretty += [f"  size {k}: {len(v)}" for k, v in sorted(classes.items())]
-    return payload, inputs, 0, pretty
+    return payload, pretty
 
 
-def _cmd_proofcheck(args):
-    code, inputs = _code_inputs(args)
+def _cmd_proofcheck(args, code):
     passed = proof_check(code)
     patterns = error_pattern_set(code.graph, 2)
+    # the reduced transitions of the half-shift argument are the transition set
+    transitions = len(transition_set(code))
     payload = {
         "passed": passed,
         "checked_weight": 2,
         "violations": [],
         "counts": {
             "patterns": len(patterns),
-            "transitions": len(transition_set(code)),
-            "reduced_transitions": len(reduced_transitions(code)),
+            "transitions": transitions,
+            "reduced_transitions": transitions,
         },
         "empty_pattern_present": frozenset() in patterns,
     }
@@ -181,11 +178,10 @@ def _cmd_proofcheck(args):
         f"   reduced: {payload['counts']['reduced_transitions']}",
         f"disjoint, so the code detects all weight <= 2 errors: {passed}",
     ]
-    return payload, inputs, 0 if passed else 1, pretty
+    return payload, pretty
 
 
-def _cmd_projector(args):
-    code, inputs = _code_inputs(args)
+def _cmd_projector(args, code):
     p = projector_from_codewords(code)
     idempotent = sum_mul(p, p) == p
     hermitian = adjoint(p) == p
@@ -210,11 +206,10 @@ def _cmd_projector(args):
         f"matches product form: {matches}",
         *terms,
     ]
-    return payload, inputs, 0 if passed else 1, pretty
+    return payload, pretty
 
 
-def _cmd_enumerator(args):
-    code, inputs = _code_inputs(args)
+def _cmd_enumerator(args, code):
     fast = weight_enumerator(code, "fast")
     brute = weight_enumerator(code, "brute")
     agree = fast == brute
@@ -232,16 +227,15 @@ def _cmd_enumerator(args):
         f"sum: {payload['sum']}",
         f"fast and brute agree: {agree}",
     ]
-    return payload, inputs, 0 if agree else 1, pretty
+    return payload, pretty
 
 
-def _cmd_statevec(args):
+def _cmd_statevec(args, g):
     try:
         from .dense import state_vector  # numpy is needed here only
     except ImportError as exc:
         raise ValueError("statevec needs numpy; install cwskit[dense]") from exc
 
-    g, inputs = _graph_inputs(args)
     state = state_vector(g)
     denom = f"1/√{1 << g.n}"
     signs = ["+" if a.real > 0 else "-" for a in state.amps]
@@ -254,11 +248,10 @@ def _cmd_statevec(args):
         f"{1 << g.n} amplitudes, all {denom} up to sign",
         f"positive: {signs.count('+')}   negative: {signs.count('-')}",
     ]
-    return payload, inputs, 0, pretty
+    return payload, pretty
 
 
-def _cmd_search(args):
-    g, inputs = _graph_inputs(args)
+def _cmd_search(args, g):
     cfg = SearchConfig(
         graph=g,
         target_distance=args.distance,
@@ -284,11 +277,10 @@ def _cmd_search(args):
         f" (certified: {result.certified}, exhausted: {result.exhausted})",
         code_file.rstrip(),
     ]
-    return payload, inputs, 0 if payload["passed"] else 1, pretty
+    return payload, pretty
 
 
-def _cmd_paper_demo(args):
-    code = the_9_12_3()
+def _cmd_paper_demo(args, code):
     checks = []
 
     # one pass over weights 1..3: weights 1-2 give the weight-2 verdict,
@@ -342,8 +334,7 @@ def _cmd_paper_demo(args):
     ]
     table.append(f"  => {'all checks pass' if all_passed else 'FAILURES PRESENT'}")
     _eprint(*table)
-    inputs = {"code": {"builtin": "the_9_12_3"}}
-    return payload, inputs, 0 if all_passed else 1, []
+    return payload, []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,7 +401,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        payload, inputs, exit_code, pretty = args.handler(args)
+        subject, inputs = _read_input(args)
+        payload, pretty = args.handler(args, subject)
     except (OSError, ValueError) as exc:  # FileFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -426,7 +418,7 @@ def main(argv=None) -> int:
     print()
     if args.pretty and pretty:
         _eprint(*pretty)
-    return exit_code
+    return 0 if payload.get("passed", True) else 1
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ tested against.  `proof_check` never touches matrix elements or lists
 errors: it sums single-qubit patterns up to weight 2 and intersects
 them with the codeword transition set.  The routes must agree, and
 tests hold them to that.  `error_patterns` is that walk grouped by
-size on a loop, and `reduced_transitions` is that transition set.
+size on a loop.
 """
 
 from __future__ import annotations
@@ -310,19 +310,6 @@ def _transition_masks(code: CwsCode) -> set[int]:
 def transition_set(code: CwsCode) -> frozenset[frozenset[int]]:
     """Symmetric differences of all unordered codeword pairs."""
     return frozenset(vertices_of(m) for m in _transition_masks(code))
-
-
-def reduced_transitions(code: CwsCode) -> frozenset[frozenset[int]]:
-    """The transitions as the half-shift structure generates them: the transition set.
-
-    When the first codeword is empty and the second half of the list is
-    the first half shifted by a pivot subset p, pairs within one half
-    give the first-half differences d, and pairs across the halves give
-    p + d, or p itself when both words sit at the same place in their
-    halves.  Those are exactly the transitions, so the reduced set is
-    `transition_set(code)` on every code, with the structure or without.
-    """
-    return transition_set(code)
 
 
 def proof_check(code: CwsCode) -> bool:

@@ -35,6 +35,11 @@ class FileFormatError(ValueError):
         self.message = message
 
 
+def _is_digits(text: str) -> bool:
+    """ASCII digits only; `str.isdigit` also accepts '²' and '３'."""
+    return text.isascii() and text.isdigit()
+
+
 def _meaningful_lines(text: str) -> Iterator[tuple[int, str]]:
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -61,7 +66,7 @@ def read_graph(path: str | Path) -> tuple[Graph, dict]:
         raise FileFormatError(path, 1, "empty graph file")
     number, header = lines[0]
     parts = header.split()
-    if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "n" or not _is_digits(parts[1]):
         raise FileFormatError(path, number, f"expected header 'n <count>', got {header!r}")
     n = int(parts[1])
     try:
@@ -73,7 +78,7 @@ def read_graph(path: str | Path) -> tuple[Graph, dict]:
     seen: set[tuple[int, int]] = set()
     for number, line in lines[1:]:
         parts = line.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not all(map(_is_digits, parts)):
             raise FileFormatError(path, number, f"expected edge 'a b', got {line!r}")
         a, b = int(parts[0]), int(parts[1])
         if a == b:
@@ -107,7 +112,7 @@ def resolve_graph_reference(ref: str, base: Path) -> tuple[Graph, dict]:
     """
     if ref.startswith(_BUILTIN_PREFIX):
         suffix = ref[len(_BUILTIN_PREFIX):]
-        if not suffix.isdigit():
+        if not _is_digits(suffix):
             raise ValueError(f"bad builtin graph reference {ref!r}")
         _check_cap(int(suffix), "table", "graphs")
         return loop_graph(int(suffix)), {"builtin": ref[len("builtin:"):]}
@@ -122,7 +127,7 @@ def _parse_codeword_line(path: Path, number: int, line: str, n: int) -> frozense
     vertices = []
     for token in line.split(","):
         token = token.strip()
-        if not token.isdigit():
+        if not _is_digits(token):
             raise FileFormatError(path, number, f"bad codeword entry {token!r}")
         v = int(token)
         if not 1 <= v <= n:

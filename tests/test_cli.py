@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cwskit import __version__, cwscode, search
+from cwskit import __version__, cli, cwscode, search
 from cwskit.cli import main
 from cwskit.cwscode import CODEWORDS_9_12_3, CwsCode
 from cwskit.dense import state_vector
@@ -24,6 +24,14 @@ def run(capsys, *argv):
     captured = capsys.readouterr()
     doc = json.loads(captured.out) if captured.out.strip() else None
     return code, doc, captured.err
+
+
+def file_record(path):
+    return {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+CODE_COMMANDS = ("verify", "distance", "proofcheck", "projector", "enumerator")
+GRAPH_COMMANDS = ("patterns", "statevec", "search")
 
 
 def test_verify_builtin_passes(capsys):
@@ -43,16 +51,13 @@ def test_verify_code_file_inputs_are_hashed(capsys, tmp_path, monkeypatch):
     builtin_ref.write_text((DATA / "code_9_12_3.code").read_text()
                            .replace("graph loop9.graph", "graph builtin:loop9"))
 
-    def record(path):
-        return {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
-
     graph_file = DATA / "loop9.graph"
     cases = [
         (["verify", "--code", str(DATA / "code_9_12_3.code")],
-         {"code": record(DATA / "code_9_12_3.code"), "graph": record(graph_file)}),
+         {"code": file_record(DATA / "code_9_12_3.code"), "graph": file_record(graph_file)}),
         (["verify", "--code", str(builtin_ref)],
-         {"code": record(builtin_ref), "graph": {"builtin": "loop9"}}),
-        (["patterns", "--graph", str(graph_file)], {"graph": record(graph_file)}),
+         {"code": file_record(builtin_ref), "graph": {"builtin": "loop9"}}),
+        (["patterns", "--graph", str(graph_file)], {"graph": file_record(graph_file)}),
     ]
 
     # every file the command opens, through pathlib or the open builtin
@@ -193,6 +198,63 @@ def test_search_derives_the_pattern_set_once(capsys, monkeypatch):
     assert calls == [2]
 
 
+def test_proofcheck_builds_the_transition_set_once(capsys, monkeypatch):
+    calls = []
+    transitions = cwscode.transition_set
+
+    def counted(code):
+        calls.append(code.size)
+        return transitions(code)
+
+    for module in (cwscode, cli):
+        monkeypatch.setattr(module, "transition_set", counted)
+    code, doc, _ = run(capsys, "proofcheck")
+    assert code == 0
+    assert doc["payload"]["counts"]["transitions"] == 31
+    assert doc["payload"]["counts"]["reduced_transitions"] == 31
+    assert calls == [12]
+
+
+EXIT_RULE_CASES = [
+    *[([c], "builtin", True) for c in CODE_COMMANDS + ("patterns", "search", "paper-demo")],
+    (["statevec"], "builtin", None),
+    *[([c, "--code"], "file", True) for c in CODE_COMMANDS],
+    *[([c, "--graph"], "file", True) for c in ("patterns", "search")],
+    (["statevec", "--graph"], "file", None),
+    # the twelve builtin words plus {1}, and a size the loop cannot reach
+    (["verify", "--code"], "thirteen", False),
+    (["proofcheck", "--code"], "thirteen", False),
+    (["search", "--min-size", "13"], "builtin", False),
+    (["search", "--min-size", "13", "--graph"], "file", False),
+]
+
+
+@pytest.mark.parametrize("argv, source, passed", EXIT_RULE_CASES,
+                         ids=[" ".join(a) + f" [{s}]" for a, s, _ in EXIT_RULE_CASES])
+def test_exit_code_follows_passed_and_inputs_name_the_source(
+        capsys, tmp_path, argv, source, passed):
+    graph_file, code_file = DATA / "loop9.graph", DATA / "code_9_12_3.code"
+    if argv[0] in GRAPH_COMMANDS:
+        inputs = {"graph": {"builtin": "loop9"}}
+        if source == "file":
+            argv, inputs = [*argv, str(graph_file)], {"graph": file_record(graph_file)}
+    else:
+        inputs = {"code": {"builtin": "the_9_12_3"}}
+        if source == "file":
+            argv = [*argv, str(code_file)]
+            inputs = {"code": file_record(code_file), "graph": file_record(graph_file)}
+        elif source == "thirteen":
+            code_file = tmp_path / "thirteen.code"
+            words = CODEWORDS_9_12_3 + (frozenset({1}),)
+            code_file.write_text(render_code(CwsCode(loop_graph(9), words), "builtin:loop9"))
+            argv = [*argv, str(code_file)]
+            inputs = {"code": file_record(code_file), "graph": {"builtin": "loop9"}}
+    code, doc, _ = run(capsys, *argv)
+    assert doc["payload"].get("passed") == passed
+    assert code == (0 if doc["payload"].get("passed", True) else 1)
+    assert doc["inputs"] == inputs
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_patterns_on_small_loops_leave_the_empty_pattern_unclassed(capsys, tmp_path, n):
     # some weight-<=2 errors on these loops reduce to the empty pattern
@@ -316,16 +378,14 @@ def test_no_command_writes_to_stderr_without_pretty(capsys, tmp_path):
     # builtin words lack the half-shift structure, and the path graph is
     # not a loop.  A warning would reach stderr outside pytest, which
     # records it instead, so warnings are collected here as well
-    code_commands = ("verify", "distance", "proofcheck", "projector", "enumerator")
-    graph_commands = ("patterns", "statevec", "search")
     code_file = tmp_path / "eleven.code"
     eleven = CwsCode(loop_graph(9), CODEWORDS_9_12_3[:11])
     code_file.write_text(render_code(eleven, "builtin:loop9"))
     graph_file = tmp_path / "path.graph"
     graph_file.write_text(render_graph(Graph.from_edges(6, [(a, a + 1) for a in range(1, 6)])))
-    runs = [[command] for command in code_commands + graph_commands]
-    runs += [[command, "--code", str(code_file)] for command in code_commands]
-    runs += [[command, "--graph", str(graph_file)] for command in graph_commands]
+    runs = [[command] for command in CODE_COMMANDS + GRAPH_COMMANDS]
+    runs += [[command, "--code", str(code_file)] for command in CODE_COMMANDS]
+    runs += [[command, "--graph", str(graph_file)] for command in GRAPH_COMMANDS]
     for argv in runs:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 import tracemalloc
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +21,6 @@ from cwskit.cwscode import (
     kl_verify,
     matrix_element,
     proof_check,
-    reduced_transitions,
     the_9_12_3,
     transition_set,
 )
@@ -385,24 +383,10 @@ def test_pattern_set_monotone_in_weight():
 
 
 def test_reduced_transitions_match_frozen_table():
-    code = the_9_12_3()
-    reduced = reduced_transitions(code)
+    # the 31 reduced transitions of the half-shift argument are the transition set
+    reduced = transition_set(the_9_12_3())
     assert len(reduced) == 31
     assert {"".join(str(v) for v in sorted(s)) for s in reduced} == REDUCED_31
-
-
-def test_transition_set_collapses_onto_reduced_set():
-    code = the_9_12_3()
-    assert transition_set(code) == reduced_transitions(code)
-
-
-def test_reduced_transitions_without_the_half_shift_are_the_transition_set():
-    # eleven words lack the half-shift structure; the reduced set is still
-    # the transition set, and no warning is raised
-    code = CwsCode(loop_graph(9), CODEWORDS_9_12_3[:11])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert reduced_transitions(code) == transition_set(code)
 
 
 # --- the counting-argument route --------------------------------------------

@@ -48,7 +48,7 @@ def test_comments_and_blank_lines_are_skipped(tmp_path):
 
 def checked_load_graph(tmp_path, text):
     path = tmp_path / "bad.graph"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(FileFormatError) as info:
         load_graph(path)
     return info.value
@@ -69,11 +69,15 @@ def test_graph_file_diagnostics(tmp_path):
     assert err.line == 2
     err = checked_load_graph(tmp_path, "")
     assert err.line == 1 and "empty" in err.message
+    # counts are ASCII digits: '²' and '３' pass str.isdigit but are refused
+    for text, line in (("n ²\n", 1), ("n ３\n", 1), ("n 5\n1 ²\n", 2), ("n 5\n1 ３\n", 2)):
+        err = checked_load_graph(tmp_path, text)
+        assert err.line == line, text
 
 
 def checked_load_code(tmp_path, text):
     path = tmp_path / "bad.code"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(FileFormatError) as info:
         load_code(path)
     return info.value
@@ -100,6 +104,11 @@ def test_code_file_diagnostics(tmp_path):
     assert err.line == 1
     err = checked_load_code(tmp_path, "graph \n-\n")
     assert err.line == 1 and "expected 'graph <ref>'" in err.message
+    for text, line in (("graph builtin:loop9\n-\n1,²\n", 3),
+                       ("graph builtin:loop9\n1,３\n", 2),
+                       ("graph builtin:loop９\n-\n", 1)):
+        err = checked_load_code(tmp_path, text)
+        assert err.line == line, text
 
 
 def test_non_utf8_bytes_name_the_file_and_line(tmp_path):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwskit import operatoralg as oa
 from cwskit.cwscode import CwsCode, _codeword_masks, the_9_12_3
@@ -109,18 +111,27 @@ def test_sum_mul_matches_operator_mul():
         assert oa.sum_mul(oa.from_pauli(p, a), oa.from_pauli(q, b)) == oa.from_pauli(mul(p, q), a * b)
 
 
-def test_algebra_laws_against_dense():
-    rng = random.Random(12)
-    for _ in range(20):
-        x = random_sum(rng, 3)
-        y = random_sum(rng, 3)
-        z = random_sum(rng, 3)
-        assert np.allclose(dense_sum(oa.sum_mul(x, y)), dense_sum(x) @ dense_sum(y))
-        assert oa.sum_mul(oa.sum_add(x, y), z) == oa.sum_add(oa.sum_mul(x, z), oa.sum_mul(y, z))
-        assert oa.sum_mul(x, oa.sum_mul(y, z)) == oa.sum_mul(oa.sum_mul(x, y), z)
-        assert oa.adjoint(oa.sum_mul(x, y)) == oa.sum_mul(oa.adjoint(y), oa.adjoint(x))
-        assert np.allclose(dense_sum(oa.adjoint(x)), dense_sum(x).conj().T)
-        assert complex(oa.trace(x)) == pytest.approx(np.trace(dense_sum(x)))
+@st.composite
+def sum_triples(draw):
+    # n = 1..4 and 1..5 terms; odd denominators and imaginary parts too
+    n = draw(st.integers(1, 4))
+    masks = st.integers(0, (1 << n) - 1)
+    parts = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3, 4, 5, 7)))
+    terms = st.lists(st.tuples(st.tuples(masks, masks), st.builds(oa.Coeff, parts, parts)),
+                     min_size=1, max_size=5)
+    return tuple(oa.PauliSum(n, tuple(draw(terms))) for _ in range(3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(sum_triples())
+def test_algebra_laws_against_dense(xyz):
+    x, y, z = xyz
+    assert np.allclose(dense_sum(oa.sum_mul(x, y)), dense_sum(x) @ dense_sum(y))
+    assert oa.sum_mul(oa.sum_add(x, y), z) == oa.sum_add(oa.sum_mul(x, z), oa.sum_mul(y, z))
+    assert oa.sum_mul(x, oa.sum_mul(y, z)) == oa.sum_mul(oa.sum_mul(x, y), z)
+    assert oa.adjoint(oa.sum_mul(x, y)) == oa.sum_mul(oa.adjoint(y), oa.adjoint(x))
+    assert np.allclose(dense_sum(oa.adjoint(x)), dense_sum(x).conj().T)
+    assert complex(oa.trace(x)) == pytest.approx(np.trace(dense_sum(x)))
 
 
 def test_trace_and_coefficient_lookup():
