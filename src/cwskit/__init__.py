@@ -1,8 +1,8 @@
 """Exact construction, verification, and search of graph-state codes.
 
 The dense oracle's names, `DenseState` and `state_vector`, are loaded from
-`cwskit.dense` on first access, so importing the package does not import
-numpy.
+`cwskit.dense` on first access and are left out of `__all__`, so neither
+`import cwskit` nor `from cwskit import *` imports numpy.
 """
 
 __version__ = "0.1.0"
@@ -13,7 +13,6 @@ from .cwscode import (
     KLViolation,
     distance,
     error_pattern_set,
-    error_patterns,
     kl_verify,
     matrix_element,
     proof_check,
@@ -53,7 +52,6 @@ __all__ = [
     "__version__",
     "Coeff",
     "CwsCode",
-    "DenseState",
     "EnumeratorResult",
     "FileFormatError",
     "Graph",
@@ -71,7 +69,6 @@ __all__ = [
     "empty_pattern_present",
     "enumerate_errors",
     "error_pattern_set",
-    "error_patterns",
     "forbidden_differences",
     "kl_verify",
     "load_code",
@@ -88,7 +85,6 @@ __all__ = [
     "render_label",
     "stabilizer_element",
     "stabilizes",
-    "state_vector",
     "the_9_12_3",
     "transition_set",
     "vertex_stabilizer",

@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 from . import __version__
 from .cwscode import (
@@ -24,7 +25,6 @@ from .cwscode import (
     _kl_report,
     _weight_scans,
     error_pattern_set,
-    error_patterns,
     kl_verify,
     proof_check,
     the_9_12_3,
@@ -150,9 +150,11 @@ def _cmd_patterns(args, g):
     }
     pretty = [f"patterns reachable by weight <= {args.weight} errors: {len(patterns)}"]
     if is_loop_graph(g) and args.weight == 2:
-        classes = error_patterns(g)
-        payload["counts"]["classes"] = {str(k): len(v) for k, v in sorted(classes.items())}
-        pretty += [f"  size {k}: {len(v)}" for k, v in sorted(classes.items())]
+        # a single-qubit step on a loop flips at most three qubits, so the
+        # non-empty weight-2 patterns fall into sizes 1..6
+        sizes = [len(p) for p in patterns]
+        payload["counts"]["classes"] = {str(k): sizes.count(k) for k in range(1, 7)}
+        pretty += [f"  size {k}: {sizes.count(k)}" for k in range(1, 7)]
     return payload, pretty
 
 
@@ -260,7 +262,8 @@ def _cmd_search(args, g):
     if args.min_size < 1:
         raise ValueError("min_size must be at least 1")
     result = compatibility_search(cfg)
-    graph_ref = args.graph if args.graph is not None else f"builtin:loop{g.n}"
+    # a code file resolves its graph relative to itself, so name the graph absolutely
+    graph_ref = f"builtin:loop{g.n}" if args.graph is None else str(Path(args.graph).absolute())
     code_file = render_code(CwsCode(g, result.codewords), graph_ref)
     payload = {
         "passed": result.certified and result.size >= args.min_size,

@@ -24,10 +24,9 @@ commands read it, so each scans a weight at most once.  A
 in `matrix_element`, which computes one element through explicit Pauli
 products and the graph-state overlap; it is the reference the scan is
 tested against.  `proof_check` never touches matrix elements or lists
-errors: it sums single-qubit patterns up to weight 2 and intersects
-them with the codeword transition set.  The routes must agree, and
-tests hold them to that.  `error_patterns` is that walk grouped by
-size on a loop.
+errors: on any graph it sums single-qubit patterns up to weight 2 and
+intersects them with the codeword transition set.  The routes must
+agree, and tests hold them to that.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._masks import mask_of, vertices_of
-from .graphstate import Graph, is_loop_graph, loop_graph, overlap, _stabilizer_table
+from .graphstate import Graph, loop_graph, overlap, _stabilizer_table
 from .pauli import PauliOperator, _error_masks, _product_phase, mul, phase_value, z_on
 # unused since the scans take (x, z) masks; bench/tracing.py patches it here
 from .pauli import enumerate_errors  # noqa: F401
@@ -276,29 +275,12 @@ def _empty_pattern_xs(g: Graph, max_weight: int) -> list[int]:
 
 
 def error_pattern_set(g: Graph, max_weight: int) -> frozenset[frozenset[int]]:
-    """Reachable phase-flip patterns for any graph, untagged."""
+    """Phase-flip patterns of the errors of weight 1..max_weight, on any graph.
+
+    The empty pattern is included when some error reduces to it.
+    """
     patterns = frozenset(vertices_of(m) for m in _pattern_masks(g, max_weight))
     return patterns | {frozenset()} if _empty_pattern_xs(g, max_weight) else patterns
-
-
-def error_patterns(g: Graph) -> dict[int, frozenset[frozenset[int]]]:
-    """Weight-<=2 phase-flip patterns on a loop, tagged by class 1..6.
-
-    Class k holds the patterns flipping exactly k qubits: the walk of
-    `_pattern_masks(g, 2)` grouped by size.  On a loop each single-qubit
-    step flips at most three qubits, so a two-step pattern flips at most
-    six and the six classes cover the walk.  The empty pattern, which
-    some errors reach on loops of 3 and 4 vertices, is in no class;
-    `search.empty_pattern_present` reports it.  Other graphs have no
-    class structure, so tagging is refused and `error_pattern_set`
-    serves the raw set instead.
-    """
-    if not is_loop_graph(g):
-        raise ValueError("pattern classes are defined on loop graphs; use error_pattern_set")
-    classes: dict[int, set[frozenset[int]]] = {k: set() for k in range(1, 7)}
-    for m in _pattern_masks(g, 2):
-        classes[m.bit_count()].add(vertices_of(m))
-    return {k: frozenset(members) for k, members in classes.items()}
 
 
 def _transition_masks(code: CwsCode) -> set[int]:
@@ -313,14 +295,13 @@ def transition_set(code: CwsCode) -> frozenset[frozenset[int]]:
 
 
 def proof_check(code: CwsCode) -> bool:
-    """Correctability of single-qubit errors by the counting argument.
+    """Correctability of single-qubit errors by the counting argument, on any graph.
 
     True iff no weight-<=2 error reduces to an empty pattern and no
-    reduced pattern coincides with a codeword transition.  On a loop this
-    is the scalar-matrix condition at weight 2 computed without matrix
-    elements, and `kl_verify(code, 2)` must reach the same verdict.
+    reduced pattern coincides with a codeword transition.  That is the
+    scalar-matrix condition at weight 2 with every scalar zero, computed
+    without matrix elements, so it agrees with `kl_verify(code, 2)`
+    passing pure.
     """
-    if not is_loop_graph(code.graph):
-        raise ValueError("the counting argument is stated for loop graphs")
     g = code.graph
     return not _empty_pattern_xs(g, 2) and not (_transition_masks(code) & _pattern_masks(g, 2))

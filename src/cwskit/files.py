@@ -108,7 +108,8 @@ def render_graph(g: Graph) -> str:
 def resolve_graph_reference(ref: str, base: Path) -> tuple[Graph, dict]:
     """Turn a code file's graph line into (graph, inputs record).
 
-    The record is {"builtin": "loop<k>"} or the resolved file's path and hash.
+    The record is {"builtin": "loop<k>"} or the graph file's hash and its
+    path as reached from the code file's path, `base / ref`.
     """
     if ref.startswith(_BUILTIN_PREFIX):
         suffix = ref[len(_BUILTIN_PREFIX):]
@@ -116,8 +117,7 @@ def resolve_graph_reference(ref: str, base: Path) -> tuple[Graph, dict]:
             raise ValueError(f"bad builtin graph reference {ref!r}")
         _check_cap(int(suffix), "table", "graphs")
         return loop_graph(int(suffix)), {"builtin": ref[len("builtin:"):]}
-    target = (base / ref).resolve() if not Path(ref).is_absolute() else Path(ref)
-    graph, inputs = read_graph(target)
+    graph, inputs = read_graph(base / ref)  # an absolute ref replaces base
     return graph, inputs["graph"]
 
 

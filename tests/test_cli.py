@@ -14,7 +14,8 @@ from cwskit.cli import main
 from cwskit.cwscode import CODEWORDS_9_12_3, CwsCode
 from cwskit.dense import state_vector
 from cwskit.files import read_code, render_code, render_graph
-from cwskit.graphstate import Graph, loop_graph
+from cwskit.graphstate import Graph, loop_graph, reduce_error
+from cwskit.pauli import enumerate_errors
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -58,6 +59,10 @@ def test_verify_code_file_inputs_are_hashed(capsys, tmp_path, monkeypatch):
         (["verify", "--code", str(builtin_ref)],
          {"code": file_record(builtin_ref), "graph": {"builtin": "loop9"}}),
         (["patterns", "--graph", str(graph_file)], {"graph": file_record(graph_file)}),
+        # a relative code path: its graph is recorded as reached from it
+        (["verify", "--code", "data/code_9_12_3.code"],
+         {"code": file_record(Path("data/code_9_12_3.code")),
+          "graph": file_record(Path("data/loop9.graph"))}),
     ]
 
     # every file the command opens, through pathlib or the open builtin
@@ -73,6 +78,7 @@ def test_verify_code_file_inputs_are_hashed(capsys, tmp_path, monkeypatch):
             opened[Path(file).resolve()] += 1
         return builtin_open(file, *args, **kwargs)
 
+    monkeypatch.chdir(DATA.parent)
     monkeypatch.setattr(Path, "open", counting_path_open)
     monkeypatch.setattr(builtins, "open", counting_builtin_open)
     for argv, inputs in cases:
@@ -198,6 +204,22 @@ def test_search_derives_the_pattern_set_once(capsys, monkeypatch):
     assert calls == [2]
 
 
+def test_patterns_derives_the_pattern_set_once(capsys, monkeypatch):
+    # the size classes on a loop group the weight-2 set that patterns reports
+    calls = []
+    pattern_masks = cwscode._pattern_masks
+
+    def counted(g, max_weight):
+        calls.append(max_weight)
+        return pattern_masks(g, max_weight)
+
+    monkeypatch.setattr(cwscode, "_pattern_masks", counted)
+    code, doc, _ = run(capsys, "patterns")
+    assert code == 0
+    assert doc["payload"]["counts"]["classes"]["6"] == 18
+    assert calls == [2]
+
+
 def test_proofcheck_builds_the_transition_set_once(capsys, monkeypatch):
     calls = []
     transitions = cwscode.transition_set
@@ -271,9 +293,37 @@ def test_patterns_counts(capsys):
     code, doc, _ = run(capsys, "patterns")
     assert code == 0
     assert doc["payload"]["counts"]["patterns"] == 243
+    # 9 and 36 are every single vertex and every pair of the 9 vertices
     assert doc["payload"]["counts"]["classes"] == {
         "1": 9, "2": 36, "3": 72, "4": 72, "5": 36, "6": 18}
     assert doc["payload"]["empty_pattern_present"] is False
+
+
+def test_patterns_classes_match_the_error_enumeration_on_loops(capsys, tmp_path):
+    # the reference multiplies out every error of weight <= 2 and reduces
+    # it, sharing nothing with the pattern walk
+    for n in range(3, 13):
+        g = loop_graph(n)
+        path = tmp_path / f"loop{n}.graph"
+        path.write_text(render_graph(g))
+        expected = {
+            reduce_error(g, e).pattern for w in (1, 2) for e in enumerate_errors(n, w)
+        }
+        code, doc, _ = run(capsys, "patterns", "--graph", str(path))
+        assert code == 0
+        assert doc["payload"]["counts"]["patterns"] == len(expected), n
+        assert doc["payload"]["counts"]["classes"] == {
+            str(k): sum(len(p) == k for p in expected) for k in range(1, 7)}, n
+
+
+def test_patterns_report_classes_only_on_a_loop_at_weight_two(capsys, tmp_path):
+    path = tmp_path / "path.graph"
+    path.write_text(render_graph(Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])))
+    for argv in (["--graph", str(path)], ["--weight", "1"], ["--weight", "3"]):
+        code, doc, _ = run(capsys, "patterns", *argv)
+        assert code == 0
+        assert doc["payload"]["counts"]["patterns"] > 0
+        assert "classes" not in doc["payload"]["counts"], argv
 
 
 def test_proofcheck_passes(capsys):
@@ -406,6 +456,20 @@ def test_search_code_file_names_a_graph_path_with_spaces(capsys, tmp_path):
     assert found.graph == loop_graph(9)
     assert [sorted(c) for c in found.codewords] == doc["payload"]["codewords"]
     assert inputs["graph"] == doc["inputs"]["graph"]
+
+
+def test_search_code_file_saved_next_to_a_relative_graph(capsys, tmp_path, monkeypatch):
+    # a code file resolves its graph relative to itself, not to the
+    # directory the search ran in
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "loop9.graph").write_text(render_graph(loop_graph(9)))
+    code, doc, _ = run(capsys, "search", "--graph", "data/loop9.graph", "--min-size", "12")
+    assert code == 0
+    Path("data/found.code").write_text(doc["payload"]["code_file"])
+    code, doc, _ = run(capsys, "verify", "--code", "data/found.code")
+    assert code == 0
+    assert Path(doc["inputs"]["graph"]["path"]).resolve() == tmp_path / "data" / "loop9.graph"
 
 
 def test_pretty_goes_to_stderr(capsys):

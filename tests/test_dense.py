@@ -42,6 +42,7 @@ BLOCKED_SCRIPT = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None
 import cwskit, cwskit.cli
+from cwskit import *
 
 def run(*argv):
     err = io.StringIO()

@@ -205,7 +205,7 @@ def test_render_read_code_roundtrip(data):
             (Path(tmp) / "c.code").write_text(render_code(code, ref))
             read, inputs = read_code(Path(tmp) / "c.code")
             assert read == code
-            assert inputs["graph"]["path"] == str((Path(tmp) / ref).resolve())
+            assert inputs["graph"]["path"] == str(Path(tmp) / ref)
         (Path(tmp) / "loop.code").write_text(render_code(loop_code, f"builtin:loop{k}"))
         read_loop, loop_inputs = read_code(Path(tmp) / "loop.code")
     assert read_loop == loop_code
