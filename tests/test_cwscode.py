@@ -319,6 +319,19 @@ def test_distance_is_the_first_weight_kl_verify_fails(code):
 # --- patterns ---------------------------------------------------------------
 
 
+def test_error_pattern_classes_on_the_9_loop():
+    # the weight-2 set grouped by size: class k flips exactly k qubits
+    pats = error_pattern_set(loop_graph(9), 2)
+    classes = {k: frozenset(p for p in pats if len(p) == k) for k in range(1, 7)}
+    assert sum(map(len, classes.values())) == len(pats)
+    assert {k: len(v) for k, v in classes.items()} == {1: 9, 2: 36, 3: 72, 4: 72, 5: 36, 6: 18}
+    assert classes[1] == frozenset(frozenset({a}) for a in range(1, 10))
+    # class 2 is every unordered pair
+    assert classes[2] == frozenset(
+        frozenset({a, b}) for a in range(1, 10) for b in range(a + 1, 10)
+    )
+
+
 def test_error_pattern_set_size_frozen():
     pats = error_pattern_set(loop_graph(9), 2)
     assert len(pats) == 243
