@@ -183,29 +183,30 @@ def _cmd_proofcheck(args, code):
     return payload, pretty
 
 
-def _cmd_projector(args, code):
+def _projector_laws(code):
+    """The codeword projector, its verdict, and whether the three projector laws hold."""
     p = projector_from_codewords(code)
-    idempotent = sum_mul(p, p) == p
-    hermitian = adjoint(p) == p
     tr = trace(p)
-    matches = build_projector() == p if code == the_9_12_3() else None
-    terms = [
-        f"{c} {render_label(PauliOperator(p.n, key[0], key[1], 0))}"
-        for key, c in p.terms
-    ]
     verdict = {
-        "idempotent": idempotent,
-        "hermitian": hermitian,
+        "idempotent": sum_mul(p, p) == p,
+        "hermitian": adjoint(p) == p,
         "trace": str(tr),
         "trace_equals_size": tr == code.size,
-        "matches_product_form": matches,
+        "matches_product_form": build_projector() == p if code == the_9_12_3() else None,
     }
-    passed = idempotent and hermitian and tr == code.size and matches is not False
+    return p, verdict, all(verdict[k] for k in ("idempotent", "hermitian", "trace_equals_size"))
+
+
+def _cmd_projector(args, code):
+    p, verdict, laws = _projector_laws(code)
+    terms = [f"{c} {render_label(PauliOperator(p.n, x, z, 0))}" for (x, z), c in p.terms]
+    passed = laws and verdict["matches_product_form"] is not False
     payload = {"passed": passed, "term_count": len(terms), "verdict": verdict, "terms": terms}
     pretty = [
         f"terms: {len(terms)}",
-        f"idempotent: {idempotent}   hermitian: {hermitian}   trace: {tr}",
-        f"matches product form: {matches}",
+        f"idempotent: {verdict['idempotent']}   hermitian: {verdict['hermitian']}"
+        f"   trace: {verdict['trace']}",
+        f"matches product form: {verdict['matches_product_form']}",
         *terms,
     ]
     return payload, pretty
@@ -310,21 +311,20 @@ def _cmd_paper_demo(args, code):
         "detail": "combinatorial detection proof",
     })
 
-    p = build_projector()
-    q = projector_from_codewords(code)
-    laws = sum_mul(p, p) == p and adjoint(p) == p and trace(p) == 12
+    # the same verdict as `projector`, without rendering its terms
+    _, verdict, laws = _projector_laws(code)
+    equal = verdict["matches_product_form"]
     checks.append({
         "name": "projector product form is the codeword projector",
-        "passed": p == q and laws,
-        "detail": f"equal={p == q} idempotent+hermitian+trace12={laws}",
+        "passed": equal and laws,
+        "detail": f"equal={equal} idempotent+hermitian+trace12={laws}",
     })
 
-    fast = weight_enumerator(code, "fast")
-    brute = weight_enumerator(code, "brute")
+    enumerator, _ = _cmd_enumerator(args, code)
     checks.append({
         "name": "weight enumerator methods agree",
-        "passed": fast == brute,
-        "detail": f"A = {list(fast.a)}",
+        "passed": enumerator["passed"],
+        "detail": f"A = {enumerator['a']}",
     })
 
     all_passed = all(c["passed"] for c in checks)

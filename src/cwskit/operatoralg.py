@@ -9,9 +9,9 @@ package builds), the pairwise products accumulate as plain int pairs,
 and `Coeff` appears only where terms enter and leave.  The result is
 exact for any rational coefficients.
 
-The code projector is built twice on purpose: once from the published
-product of stabilizer-element factors, once as the sum of codeword
-projectors, and the two expansions must agree term for term.
+The code projector is built twice on purpose: from the published product
+form, each factor summed from its (vertex subset, coefficient) pairs, and
+as the sum of codeword projectors; the two must agree term for term.
 
 The weight enumerator A_d, the sum of Tr(P E)**2 over weight-d Paulis E,
 is derived twice too: fast from signed codeword counts, brute from the
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from typing import Iterable, Union
+from typing import Union
 
 from .cwscode import CwsCode, _codeword_masks, matrix_element
 from .graphstate import loop_graph, stabilizer_element, _stabilizer_table
@@ -227,8 +227,10 @@ def coefficient_of(x: PauliSum, p: PauliOperator) -> Coeff:
 # The ((9,12,3)) projector
 
 
-def _g(vertices: Iterable[int]) -> PauliSum:
-    return from_pauli(stabilizer_element(loop_graph(9), vertices))
+def _factor(pairs) -> PauliSum:
+    """The sum of c G_U over (vertex subset U, coefficient c) pairs; G_() is the identity."""
+    g = loop_graph(9)
+    return reduce(sum_add, (from_pauli(stabilizer_element(g, u), c) for u, c in pairs))
 
 
 def build_A() -> PauliSum:
@@ -237,41 +239,19 @@ def build_A() -> PauliSum:
     A = G_14 (1 - G_36 + G_39 - G_69 + 2 G_369 + 2 G_9)
       + G_17 (1 - G_39 + G_36 - G_69 + 2 G_369 + 2 G_6)
     """
-    one = identity_sum(9)
-    left = reduce(
-        sum_add,
-        (
-            one,
-            sum_scale(_g((3, 6)), -1),
-            _g((3, 9)),
-            sum_scale(_g((6, 9)), -1),
-            sum_scale(_g((3, 6, 9)), 2),
-            sum_scale(_g((9,)), 2),
-        ),
-    )
-    right = reduce(
-        sum_add,
-        (
-            one,
-            sum_scale(_g((3, 9)), -1),
-            _g((3, 6)),
-            sum_scale(_g((6, 9)), -1),
-            sum_scale(_g((3, 6, 9)), 2),
-            sum_scale(_g((6,)), 2),
-        ),
-    )
-    return sum_add(sum_mul(_g((1, 4)), left), sum_mul(_g((1, 7)), right))
+    left = _factor([((), 1), ((3, 6), -1), ((3, 9), 1), ((6, 9), -1), ((3, 6, 9), 2), ((9,), 2)])
+    right = _factor([((), 1), ((3, 9), -1), ((3, 6), 1), ((6, 9), -1), ((3, 6, 9), 2), ((6,), 2)])
+    return sum_add(sum_mul(_factor([((1, 4), 1)]), left), sum_mul(_factor([((1, 7), 1)]), right))
 
 
 def build_projector() -> PauliSum:
-    """P = 2**-10 (1 + G_38)(1 + G_62)(1 + G_95) A (A + 8)."""
-    one = identity_sum(9)
+    """P = 2**-10 (1 + G_38)(1 + G_62)(1 + G_95) A (A + 8), multiplied left to right.
+
+    Each local factor 1 + G_U is the (vertex subset, coefficient) list [((), 1), (U, 1)].
+    """
     a = build_A()
-    p = sum_add(one, _g((3, 8)))
-    p = sum_mul(p, sum_add(one, _g((6, 2))))
-    p = sum_mul(p, sum_add(one, _g((9, 5))))
-    p = sum_mul(p, a)
-    p = sum_mul(p, sum_add(a, identity_sum(9, 8)))
+    local = [_factor([((), 1), (u, 1)]) for u in ((3, 8), (6, 2), (9, 5))]
+    p = reduce(sum_mul, (*local, a, sum_add(a, identity_sum(9, 8))))
     return sum_scale(p, Fraction(1, 1 << 10))
 
 
@@ -302,21 +282,15 @@ def projector_from_codewords(code: CwsCode) -> PauliSum:
 
 def stabilizes(x: PauliSum | PauliOperator, code: CwsCode) -> tuple[bool, ...]:
     """Per-codeword +1-eigenvalue test for a single stabilizer element."""
-    if isinstance(x, PauliOperator):
-        p = x
-    else:
+    if isinstance(x, PauliSum):
         if len(x.terms) != 1:
             raise ValueError("not a single Pauli term")
         (xm, zm), c = x.terms[0]
-        for k in range(4):
-            if coeff(1).rotated(k) == c:
-                p = PauliOperator(x.n, xm, zm, k)
-                break
-        else:
+        units = [k for k in range(4) if coeff(1).rotated(k) == c]
+        if not units:
             raise ValueError("not a single Pauli term with unit coefficient")
-    return tuple(
-        matrix_element(code, i, i, p) == 1 for i in range(1, code.size + 1)
-    )
+        x = PauliOperator(x.n, xm, zm, units[0])
+    return tuple(matrix_element(code, i, i, x) == 1 for i in range(1, code.size + 1))
 
 
 # ---------------------------------------------------------------------------

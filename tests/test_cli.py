@@ -188,6 +188,38 @@ def test_paper_demo_scans_each_weight_once(capsys, monkeypatch):
     assert details["distance is exactly 3"] == "first failing weight: 3"
 
 
+def test_paper_demo_reads_the_projector_and_enumerator_verdicts(capsys, monkeypatch):
+    _, projector, _ = run(capsys, "projector")
+    _, enumerator, _ = run(capsys, "enumerator")
+    calls = Counter()
+
+    def counting(name):
+        fn = getattr(cli, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for name in ("sum_mul", "build_projector"):
+        monkeypatch.setattr(cli, name, counting(name))
+    code, doc, _ = run(capsys, "paper-demo")
+    assert code == 0
+    # P·P is formed once, and the product form is built once
+    assert calls == {"sum_mul": 1, "build_projector": 1}
+    checks = {c["name"]: c for c in doc["payload"]["checks"]}
+    verdict = projector["payload"]["verdict"]
+    laws = verdict["idempotent"] and verdict["hermitian"] and verdict["trace_equals_size"]
+    proj = checks["projector product form is the codeword projector"]
+    assert proj["detail"] == (
+        f"equal={verdict['matches_product_form']} idempotent+hermitian+trace12={laws}")
+    assert proj["passed"] == projector["payload"]["passed"] is True
+    enum = checks["weight enumerator methods agree"]
+    assert enum["detail"] == f"A = {enumerator['payload']['a']}"
+    assert enum["passed"] == enumerator["payload"]["methods_agree"] is True
+
+
 def test_search_derives_the_pattern_set_once(capsys, monkeypatch):
     calls = []
     pattern_masks = cwscode._pattern_masks
@@ -425,9 +457,11 @@ def test_paper_demo_all_green(capsys):
 
 def test_no_command_writes_to_stderr_without_pretty(capsys, tmp_path):
     # paper-demo always prints its table, so it is left out; the eleven
-    # builtin words lack the half-shift structure, and the path graph is
-    # not a loop.  A warning would reach stderr outside pytest, which
-    # records it instead, so warnings are collected here as well
+    # builtin words are not the builtin code, so `projector` reports
+    # `matches_product_form` as None, and on the path graph, which is not
+    # a loop, `patterns` reports no size classes.  A warning would reach
+    # stderr outside pytest, which records it instead, so warnings are
+    # collected here as well
     code_file = tmp_path / "eleven.code"
     eleven = CwsCode(loop_graph(9), CODEWORDS_9_12_3[:11])
     code_file.write_text(render_code(eleven, "builtin:loop9"))

@@ -200,6 +200,18 @@ def test_projector_laws():
     assert oa.coefficient_of(p, identity(9)) == Fraction(12, 512)
 
 
+def test_local_stabilizers_fix_the_projector_in_operator_form():
+    # exact operator products, where `stabilizes` reads matrix elements
+    p = oa.build_projector()
+    g = loop_graph(9)
+    for pair in ((3, 8), (6, 2), (9, 5)):
+        s = oa.from_pauli(stabilizer_element(g, pair))
+        assert oa.sum_mul(s, p) == p == oa.sum_mul(p, s), pair
+    g1 = oa.from_pauli(stabilizer_element(g, (1,)))
+    assert oa.sum_mul(g1, p) != p
+    assert oa.sum_mul(p, g1) != p
+
+
 def test_projector_action_on_graph_basis():
     p = oa.build_projector()
     base = state_vector(loop_graph(9))
