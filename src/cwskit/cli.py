@@ -5,8 +5,10 @@ version, subcommand, the inputs it ran on (paths with the hashes of the
 bytes that were parsed, or builtin markers), elapsed time, and a
 payload.  `main` reads each command's code or graph, from its file
 through `files` or the builtin, before the handler runs, and it alone
-sets the exit code.  `--pretty` adds a human-readable rendering on
-standard error without touching the JSON.
+sets the exit code.  `--pretty` also prints the payload's fields on
+standard error, one `key: value` line each (nested keys dotted, a list
+by its length), so it cannot disagree with the JSON.  `paper-demo`
+always prints its pass/fail table there, with or without `--pretty`.
 
 Exit codes: 0 pass, 1 when `payload["passed"]` is false, 2 malformed input.
 """
@@ -89,13 +91,24 @@ def _eprint(*lines: str) -> None:
         print(line, file=sys.stderr)
 
 
+def _pretty_lines(value, key: str = ""):
+    """One `key: value` line per leaf: nested keys dotted, each list by its length."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _pretty_lines(v, f"{key}.{k}" if key else k)
+    elif isinstance(value, list):
+        yield f"{key}: {len(value)} items"
+    else:
+        yield f"{key}: {json.dumps(value, ensure_ascii=False)}"
+
+
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each takes (args, code or graph), returns (payload, pretty_lines)
+# Subcommand handlers: each takes (args, code or graph) and returns its payload
 
 
 def _cmd_verify(args, code):
     report = kl_verify(code, args.weight)
-    payload = {
+    return {
         "passed": report.passed,
         "pure": report.pure,
         "checked_weight": report.checked_weight,
@@ -103,18 +116,6 @@ def _cmd_verify(args, code):
         "violations_capped": report.violations_capped,
         "counts": {"violations": report.violation_count, "codewords": code.size},
     }
-    pretty = [
-        f"code: {code.size} codewords on {code.n} qubits",
-        f"checked error weight: <= {report.checked_weight}",
-        f"passed: {report.passed}   pure: {report.pure}",
-        f"violations: {report.violation_count}"
-        + (" (capped)" if report.violations_capped else ""),
-    ]
-    pretty += [
-        f"  {row['error']}  <{row['i']}|E|{row['j']}> = {row['value']}"
-        for row in payload["violations"][:20]
-    ]
-    return payload, pretty
 
 
 def _cmd_distance(args, code):
@@ -133,11 +134,7 @@ def _cmd_distance(args, code):
         witness = _kl_report(code, found, violations, False)
         payload["violations"] = _violation_rows(witness)
         payload["counts"]["violations"] = witness.violation_count
-    pretty = [
-        f"distance: {found if found is not None else f'> {max_d}'}"
-        f" (scanned weights 1..{max_d})",
-    ]
-    return payload, pretty
+    return payload
 
 
 def _cmd_patterns(args, g):
@@ -148,14 +145,12 @@ def _cmd_patterns(args, g):
         "counts": {"patterns": len(patterns)},
         "empty_pattern_present": frozenset() in patterns,
     }
-    pretty = [f"patterns reachable by weight <= {args.weight} errors: {len(patterns)}"]
     if is_loop_graph(g) and args.weight == 2:
         # a single-qubit step on a loop flips at most three qubits, so the
         # non-empty weight-2 patterns fall into sizes 1..6
         sizes = [len(p) for p in patterns]
         payload["counts"]["classes"] = {str(k): sizes.count(k) for k in range(1, 7)}
-        pretty += [f"  size {k}: {sizes.count(k)}" for k in range(1, 7)]
-    return payload, pretty
+    return payload
 
 
 def _cmd_proofcheck(args, code):
@@ -163,7 +158,7 @@ def _cmd_proofcheck(args, code):
     patterns = error_pattern_set(code.graph, 2)
     # the reduced transitions of the half-shift argument are the transition set
     transitions = len(transition_set(code))
-    payload = {
+    return {
         "passed": passed,
         "checked_weight": 2,
         "violations": [],
@@ -174,25 +169,21 @@ def _cmd_proofcheck(args, code):
         },
         "empty_pattern_present": frozenset() in patterns,
     }
-    pretty = [
-        f"patterns: {payload['counts']['patterns']}"
-        f"   transitions: {payload['counts']['transitions']}"
-        f"   reduced: {payload['counts']['reduced_transitions']}",
-        f"disjoint, so the code detects all weight <= 2 errors: {passed}",
-    ]
-    return payload, pretty
 
 
 def _projector_laws(code):
     """The codeword projector, its verdict, and whether the three projector laws hold."""
     p = projector_from_codewords(code)
     tr = trace(p)
+    # P depends on the set of codewords only, not on the order a file lists them in
+    builtin = the_9_12_3()
+    paper_code = code.graph == builtin.graph and set(code.codewords) == set(builtin.codewords)
     verdict = {
         "idempotent": sum_mul(p, p) == p,
         "hermitian": adjoint(p) == p,
         "trace": str(tr),
         "trace_equals_size": tr == code.size,
-        "matches_product_form": build_projector() == p if code == the_9_12_3() else None,
+        "matches_product_form": build_projector() == p if paper_code else None,
     }
     return p, verdict, all(verdict[k] for k in ("idempotent", "hermitian", "trace_equals_size"))
 
@@ -201,22 +192,14 @@ def _cmd_projector(args, code):
     p, verdict, laws = _projector_laws(code)
     terms = [f"{c} {render_label(PauliOperator(p.n, x, z, 0))}" for (x, z), c in p.terms]
     passed = laws and verdict["matches_product_form"] is not False
-    payload = {"passed": passed, "term_count": len(terms), "verdict": verdict, "terms": terms}
-    pretty = [
-        f"terms: {len(terms)}",
-        f"idempotent: {verdict['idempotent']}   hermitian: {verdict['hermitian']}"
-        f"   trace: {verdict['trace']}",
-        f"matches product form: {verdict['matches_product_form']}",
-        *terms,
-    ]
-    return payload, pretty
+    return {"passed": passed, "term_count": len(terms), "verdict": verdict, "terms": terms}
 
 
 def _cmd_enumerator(args, code):
     fast = weight_enumerator(code, "fast")
     brute = weight_enumerator(code, "brute")
     agree = fast == brute
-    payload = {
+    return {
         "passed": agree,
         "counts": {"codewords": code.size},
         "method": "both",
@@ -225,12 +208,6 @@ def _cmd_enumerator(args, code):
         "sum": sum(fast.a),
         "methods_agree": agree,
     }
-    pretty = [
-        " ".join(f"A_{d}={v}" for d, v in enumerate(fast.a)),
-        f"sum: {payload['sum']}",
-        f"fast and brute agree: {agree}",
-    ]
-    return payload, pretty
 
 
 def _cmd_statevec(args, g):
@@ -241,17 +218,11 @@ def _cmd_statevec(args, g):
 
     state = state_vector(g)
     denom = f"1/√{1 << g.n}"
-    signs = ["+" if a.real > 0 else "-" for a in state.amps]
-    payload = {
+    return {
         "n": g.n,
         "scale": denom,
-        "amplitudes": [s + denom for s in signs],
+        "amplitudes": [("+" if a.real > 0 else "-") + denom for a in state.amps],
     }
-    pretty = [
-        f"{1 << g.n} amplitudes, all {denom} up to sign",
-        f"positive: {signs.count('+')}   negative: {signs.count('-')}",
-    ]
-    return payload, pretty
 
 
 def _cmd_search(args, g):
@@ -266,7 +237,7 @@ def _cmd_search(args, g):
     # a code file resolves its graph relative to itself, so name the graph absolutely
     graph_ref = f"builtin:loop{g.n}" if args.graph is None else str(Path(args.graph).absolute())
     code_file = render_code(CwsCode(g, result.codewords), graph_ref)
-    payload = {
+    return {
         "passed": result.certified and result.size >= args.min_size,
         "size": result.size,
         "certified": result.certified,
@@ -276,12 +247,6 @@ def _cmd_search(args, g):
         "codewords": [sorted(c) for c in result.codewords],
         "code_file": code_file,
     }
-    pretty = [
-        f"found {result.size} codewords"
-        f" (certified: {result.certified}, exhausted: {result.exhausted})",
-        code_file.rstrip(),
-    ]
-    return payload, pretty
 
 
 def _cmd_paper_demo(args, code):
@@ -320,7 +285,7 @@ def _cmd_paper_demo(args, code):
         "detail": f"equal={equal} idempotent+hermitian+trace12={laws}",
     })
 
-    enumerator, _ = _cmd_enumerator(args, code)
+    enumerator = _cmd_enumerator(args, code)
     checks.append({
         "name": "weight enumerator methods agree",
         "passed": enumerator["passed"],
@@ -337,7 +302,7 @@ def _cmd_paper_demo(args, code):
     ]
     table.append(f"  => {'all checks pass' if all_passed else 'FAILURES PRESENT'}")
     _eprint(*table)
-    return payload, []
+    return payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--code", help="code file (default: the builtin ((9,12,3)) code)")
         if graph:
             p.add_argument("--graph", help="graph file (default: the builtin 9-vertex loop)")
-        p.add_argument("--pretty", action="store_true", help="human summary on stderr")
+        p.add_argument("--pretty", action="store_true", help="payload fields on stderr")
 
     p = sub.add_parser("verify", help="check the error conditions up to a weight")
     common(p, code=True)
@@ -405,7 +370,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         subject, inputs = _read_input(args)
-        payload, pretty = args.handler(args, subject)
+        payload = args.handler(args, subject)
     except (OSError, ValueError) as exc:  # FileFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -419,8 +384,8 @@ def main(argv=None) -> int:
     }
     json.dump(report, sys.stdout, indent=2)
     print()
-    if args.pretty and pretty:
-        _eprint(*pretty)
+    if args.pretty:
+        _eprint(*_pretty_lines(payload))
     return 0 if payload.get("passed", True) else 1
 
 

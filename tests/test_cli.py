@@ -382,6 +382,18 @@ def test_projector_verdict(capsys):
     assert len(payload["terms"]) == 176
 
 
+def test_projector_matches_the_product_form_in_any_word_order(capsys, tmp_path):
+    # P depends on the set of codewords only, so the builtin words listed
+    # in another order are still the paper's code
+    path = tmp_path / "reversed.code"
+    words = tuple(reversed(CODEWORDS_9_12_3))
+    path.write_text(render_code(CwsCode(loop_graph(9), words), "builtin:loop9"))
+    assert read_code(path)[0].codewords == words
+    code, doc, _ = run(capsys, "projector", "--code", str(path))
+    assert code == 0
+    assert doc["payload"]["verdict"]["matches_product_form"] is True
+
+
 def test_enumerator_both_methods(capsys):
     code, doc, _ = run(capsys, "enumerator")
     assert code == 0
@@ -507,10 +519,51 @@ def test_search_code_file_saved_next_to_a_relative_graph(capsys, tmp_path, monke
 
 
 def test_pretty_goes_to_stderr(capsys):
-    code, doc, err = run(capsys, "verify", "--pretty")
-    assert code == 0
-    assert doc is not None
-    assert "passed" in err
+    # --pretty adds one line per payload field after what the command
+    # writes anyway: nested keys dotted, values spelled as in the JSON,
+    # and each list by its length; the JSON and the exit code stay
+    def fields(value, key=""):
+        if isinstance(value, dict):
+            return [line for k, v in value.items()
+                    for line in fields(v, f"{key}.{k}" if key else k)]
+        if isinstance(value, list):
+            return [f"{key}: {len(value)} items"]
+        return [f"{key}: {json.dumps(value, ensure_ascii=False)}"]
+
+    def timeless(doc):
+        doc.pop("elapsed_seconds")
+        doc["payload"].pop("search_seconds", None)
+        return doc
+
+    for command in ("paper-demo", *CODE_COMMANDS, *GRAPH_COMMANDS):
+        code, doc, err = run(capsys, command)
+        pretty_code, pretty_doc, pretty_err = run(capsys, command, "--pretty")
+        lines = fields(pretty_doc["payload"])
+        assert pretty_code == code, command
+        assert pretty_err == err + "".join(f"{line}\n" for line in lines), command
+        assert timeless(pretty_doc) == timeless(doc), command
+        if command == "verify":
+            assert {"passed: true", "counts.violations: 0", "violations: 0 items"} <= set(lines)
+
+
+def test_input_files_with_nothing_in_them_exit_two(capsys, tmp_path):
+    graph_file, code_file = tmp_path / "none.graph", tmp_path / "comments.code"
+    graph_file.write_text("n 0\n")
+    code_file.write_text("# graph builtin:loop9\n\n# -\n")
+    for argv, message in (
+        (["patterns", "--graph", str(graph_file)], f"{graph_file}:1: need at least one vertex"),
+        (["verify", "--code", str(code_file)], f"{code_file}:1: empty code file"),
+    ):
+        code, doc, err = run(capsys, *argv)
+        assert code == 2 and doc is None, argv
+        assert message in err, argv
+
+
+def test_unparsable_budget_exits_two(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["search", "--budget", "abc"])
+    assert info.value.code == 2
+    assert "bad duration" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -2,12 +2,13 @@
 
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwskit import cli, cwscode, pauli
+from cwskit import cli, cwscode, pauli, search
 from cwskit._masks import mask_of, vertices_of
 from cwskit.cwscode import error_pattern_set, kl_verify, proof_check, the_9_12_3
 from cwskit.graphstate import Graph, loop_graph, reduce_error, stabilizer_element
@@ -150,6 +151,22 @@ def test_budget_holds_before_the_rows_are_built():
     assert r.elapsed < 1.0
     assert not r.exhausted
     assert r.certified
+
+
+def test_budget_holds_while_the_rows_are_gathered(monkeypatch):
+    # the clock expires right after the row build, so the first read in
+    # the gather loop ends the search and hands back the seed itself, not
+    # the sorted incumbent of a timed-out branch and bound
+    g = loop_graph(9)
+    forbidden = search._forbidden_masks(g, 2)
+    candidates = [m for m in range(1, 1 << g.n) if m not in forbidden]
+    seed = search._greedy_masks(candidates, forbidden)
+    # the row build reads the clock once per candidate; the next read expires
+    ticks = iter([0.0] * len(candidates) + [1.0])
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    chosen, exhausted = search._max_clique_masks(candidates, forbidden, seed, 0.5)
+    assert chosen is seed and exhausted is False
+    assert next(ticks, None) is None
 
 
 def _bron_kerbosch_maximum(adjacent: dict[int, set[int]]) -> int:
