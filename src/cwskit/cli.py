@@ -62,10 +62,8 @@ def _read_input(args) -> tuple:
 
 
 def _exact_value(v: complex) -> str:
-    for exact, label in ((0, "0"), (1, "1"), (-1, "-1"), (1j, "i"), (-1j, "-i")):
-        if v == exact:
-            return label
-    return str(v)
+    # a violation value is phase_value of an int, so always a unit
+    return {1: "1", -1: "-1", 1j: "i", -1j: "-i"}[v]
 
 
 def _violation_rows(report) -> list:

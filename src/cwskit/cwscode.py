@@ -16,7 +16,11 @@ pattern,
 and 0 otherwise, where Z_D e s is a pure phase i**r.  So the diagonal is
 i**r (-1)**|x(e) & c| when D is empty, and the only non-zero off-diagonal
 elements sit on the codeword pairs whose transition is D.
-The scans take each error as its (x, z) mask pair from
+Each fact about a code is derived once, on masks.  `CwsCode.masks`
+packs the codewords when the code is built, and every mask-level route
+reads it.  `_diff_pair_map` is the one walk over codeword pairs: the
+scan reads its ordered pairs, and `transition_set` and `proof_check`
+read its keys.  The scans take each error as its (x, z) mask pair from
 `pauli._error_masks`.  `_weight_scans` is the one loop over error
 weights: `kl_verify`, `distance` and the `distance` and `paper-demo`
 commands read it, so each scans a weight at most once.  A
@@ -31,7 +35,7 @@ agree, and tests hold them to that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ._masks import mask_of, vertices_of
@@ -61,23 +65,29 @@ CODEWORDS_9_12_3: tuple[frozenset[int], ...] = (
 
 @dataclass(frozen=True)
 class CwsCode:
-    """Graph plus ordered distinct codeword subsets (1-based labels)."""
+    """Graph plus ordered distinct codeword subsets (1-based labels).
+
+    `masks` is the codewords packed in order, outside equality, hash and repr.
+    """
 
     graph: Graph
     codewords: tuple[frozenset[int], ...]
+    masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "codewords", tuple(frozenset(c) for c in self.codewords))
         if not self.codewords:
             raise ValueError("a code needs at least one codeword")
-        seen: set[frozenset[int]] = set()
+        masks: dict[int, None] = {}  # insertion-ordered, with set lookups
         for c in self.codewords:
-            for v in c:
-                if not 1 <= v <= self.graph.n:
-                    raise ValueError(f"codeword vertex {v} outside 1..{self.graph.n}")
-            if c in seen:
+            try:
+                m = mask_of(c, self.n)
+            except ValueError as exc:
+                raise ValueError(f"codeword {exc}") from None
+            if m in masks:
                 raise ValueError(f"duplicate codeword {sorted(c) or '-'}")
-            seen.add(c)
+            masks[m] = None
+        object.__setattr__(self, "masks", tuple(masks))
 
     @property
     def n(self) -> int:
@@ -93,19 +103,14 @@ def the_9_12_3() -> CwsCode:
     return CwsCode(loop_graph(9), CODEWORDS_9_12_3)
 
 
-def _codeword_masks(code: CwsCode) -> tuple[int, ...]:
-    return tuple(mask_of(c, code.n) for c in code.codewords)
-
-
 def _diff_pair_map(code: CwsCode) -> dict[int, tuple[tuple[int, int], ...]]:
-    """Ordered off-diagonal index pairs keyed by codeword-mask xor."""
-    masks = _codeword_masks(code)
+    """Off-diagonal index pairs (i, j), in order, keyed by codeword-mask xor."""
     out: dict[int, list[tuple[int, int]]] = {}
-    for i, ci in enumerate(masks, start=1):
-        for j, cj in enumerate(masks, start=1):
+    for i, ci in enumerate(code.masks, start=1):
+        for j, cj in enumerate(code.masks, start=1):
             if i != j:
                 out.setdefault(ci ^ cj, []).append((i, j))
-    return {d: tuple(sorted(pairs)) for d, pairs in out.items()}
+    return {d: tuple(pairs) for d, pairs in out.items()}
 
 
 def matrix_element(code: CwsCode, i: int, j: int, e: PauliOperator) -> complex:
@@ -152,7 +157,7 @@ def _scan_errors(code: CwsCode, errors, collect: bool):
     """
     table = _stabilizer_table(code.graph)
     pairs_by_diff = _diff_pair_map(code)
-    masks = _codeword_masks(code)
+    masks = code.masks
     violations: list[KLViolation] = []
     pure = True
     for e in errors:
@@ -283,15 +288,9 @@ def error_pattern_set(g: Graph, max_weight: int) -> frozenset[frozenset[int]]:
     return patterns | {frozenset()} if _empty_pattern_xs(g, max_weight) else patterns
 
 
-def _transition_masks(code: CwsCode) -> set[int]:
-    """Codeword-mask xors over all unordered pairs of distinct codewords."""
-    masks = _codeword_masks(code)
-    return {masks[i] ^ masks[j] for i in range(len(masks)) for j in range(i + 1, len(masks))}
-
-
 def transition_set(code: CwsCode) -> frozenset[frozenset[int]]:
     """Symmetric differences of all unordered codeword pairs."""
-    return frozenset(vertices_of(m) for m in _transition_masks(code))
+    return frozenset(vertices_of(m) for m in _diff_pair_map(code))
 
 
 def proof_check(code: CwsCode) -> bool:
@@ -304,4 +303,4 @@ def proof_check(code: CwsCode) -> bool:
     passing pure.
     """
     g = code.graph
-    return not _empty_pattern_xs(g, 2) and not (_transition_masks(code) & _pattern_masks(g, 2))
+    return not _empty_pattern_xs(g, 2) and not (_diff_pair_map(code).keys() & _pattern_masks(g, 2))

@@ -171,16 +171,12 @@ def _stabilizer_table(g: Graph) -> list[tuple[int, int]]:
 def overlap(g: Graph, p: PauliOperator) -> complex:
     """<G| p |G>, exactly one of 0, +1, -1, +i, -i.
 
-    Non-zero iff p is a phase times the stabilizer element sharing its
-    x mask, in which case the value is that phase.
+    Non-zero iff p reduces to the empty pattern, that is, iff p is a
+    phase times the stabilizer element sharing its x mask; the value is
+    then that phase, the sign of `reduce_error`.
     """
-    if p.n != g.n:
-        raise ValueError("qubit counts differ")
-    s = _stab_element(g, p.x)
-    q = mul(p, s)  # s is an involution, so q*s = p and s|G> = |G>
-    if q.z:
-        return 0
-    return phase_value(q.phase)
+    pattern, sign = reduce_error(g, p)
+    return 0 if pattern else sign
 
 
 class ReducedError(NamedTuple):
@@ -199,5 +195,6 @@ def reduce_error(g: Graph, e: PauliOperator) -> ReducedError:
     """
     if e.n != g.n:
         raise ValueError("qubit counts differ")
+    # the element s is an involution, so q*s = e, and s|G> = |G>
     q = mul(e, _stab_element(g, e.x))
     return ReducedError(vertices_of(q.z), phase_value(q.phase))

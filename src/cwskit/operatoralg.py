@@ -27,7 +27,7 @@ from functools import reduce
 from math import lcm
 from typing import Union
 
-from .cwscode import CwsCode, _codeword_masks, matrix_element
+from .cwscode import CwsCode, matrix_element
 from .graphstate import loop_graph, stabilizer_element, _stabilizer_table
 from .pauli import PauliOperator, _product_phase
 # unused since brute sums the projector's terms; bench/tracing.py patches it here
@@ -98,7 +98,8 @@ class Coeff:
             return str(self.re)
         if self.re == 0:
             return f"{self.im} i"
-        return f"{self.re} + {self.im} i"
+        sign = "-" if self.im < 0 else "+"
+        return f"{self.re} {sign} {abs(self.im)} i"
 
 
 def coeff(value: _Scalar) -> Coeff:
@@ -269,28 +270,19 @@ def projector_from_codewords(code: CwsCode) -> PauliSum:
     """
     n = code.n
     table = _stabilizer_table(code.graph)
-    masks = _codeword_masks(code)
     scale = Fraction(1, 1 << n)
     terms = []
     for u in range(1 << n):
-        t = _signed_count(u, masks)
+        t = _signed_count(u, code.masks)
         if t:
             z, ph = table[u]
             terms.append(((u, z), coeff(t * scale).rotated(ph)))
     return PauliSum(n, tuple(terms))
 
 
-def stabilizes(x: PauliSum | PauliOperator, code: CwsCode) -> tuple[bool, ...]:
-    """Per-codeword +1-eigenvalue test for a single stabilizer element."""
-    if isinstance(x, PauliSum):
-        if len(x.terms) != 1:
-            raise ValueError("not a single Pauli term")
-        (xm, zm), c = x.terms[0]
-        units = [k for k in range(4) if coeff(1).rotated(k) == c]
-        if not units:
-            raise ValueError("not a single Pauli term with unit coefficient")
-        x = PauliOperator(x.n, xm, zm, units[0])
-    return tuple(matrix_element(code, i, i, x) == 1 for i in range(1, code.size + 1))
+def stabilizes(p: PauliOperator, code: CwsCode) -> tuple[bool, ...]:
+    """Per codeword w_i, whether p fixes it: <w_i| p |w_i> = 1, from matrix elements."""
+    return tuple(matrix_element(code, i, i, p) == 1 for i in range(1, code.size + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +308,10 @@ def weight_enumerator(code: CwsCode, method: str = "fast") -> EnumeratorResult:
     n = code.n
     if method == "fast":
         table = _stabilizer_table(code.graph)
-        masks = _codeword_masks(code)
         a = [0] * (n + 1)
         for u in range(1 << n):
             z, _ = table[u]
-            a[(u | z).bit_count()] += _signed_count(u, masks) ** 2
+            a[(u | z).bit_count()] += _signed_count(u, code.masks) ** 2
         return EnumeratorResult(tuple(a))
     if method == "brute":
         a = [0] * (n + 1)

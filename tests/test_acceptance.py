@@ -1,4 +1,4 @@
-"""Acceptance gate: the eight headline claims, each as one pass/fail test.
+"""Acceptance gate: the nine headline claims, each as one pass/fail test.
 
 Run with `pytest tests/test_acceptance.py -v` for one line per criterion.
 Everything here is exact arithmetic; the time limits are generous
@@ -12,7 +12,6 @@ import numpy as np
 
 from cwskit.cwscode import (
     CwsCode,
-    _codeword_masks,
     distance,
     error_pattern_set,
     kl_verify,
@@ -26,7 +25,6 @@ from cwskit.graphstate import Graph, loop_graph, stabilizer_element
 from cwskit.operatoralg import (
     adjoint,
     build_projector,
-    from_pauli,
     projector_from_codewords,
     stabilizes,
     sum_mul,
@@ -95,7 +93,7 @@ def test_criterion_4_projector():
     same = p == projector_from_codewords(code)
     base = state_vector(loop_graph(9))
     fixes = True
-    for mask in _codeword_masks(code):
+    for mask in code.masks:
         v = apply_pauli(base, PauliOperator(9, 0, mask, 0))
         fixes = fixes and np.array_equal(apply_sum(v, p), v.amps)
     elapsed = time.perf_counter() - start
@@ -123,7 +121,7 @@ def test_criterion_6_local_stabilizers():
     g = loop_graph(9)
     ok = True
     for pair in ((3, 8), (6, 2), (9, 5)):
-        flags = stabilizes(from_pauli(stabilizer_element(g, pair)), code)
+        flags = stabilizes(stabilizer_element(g, pair), code)
         ok = ok and flags == (True,) * 12
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 1.0
@@ -143,7 +141,7 @@ def test_criterion_7_search_beats_the_stabilizer_bound():
 def dense_states(code):
     base = state_vector(code.graph)
     return [apply_pauli(base, PauliOperator(code.n, 0, m, 0))
-            for m in _codeword_masks(code)]
+            for m in code.masks]
 
 
 def dense_element(states, i, j, e):
@@ -186,3 +184,15 @@ def test_criterion_8_dense_oracle_equivalence():
             j = rng.randint(1, size)
             assert matrix_element(small, i, j, e) == dense_element(small_states, i, j, e)
     report(8, True, "dense inner products match matrix_element on 50544 + 1000 cases")
+
+
+def test_criterion_9_the_code_is_nonadditive():
+    # A CWS code is a stabilizer code exactly when its codeword masks form
+    # a group under XOR (Cross, Smith, Smolin and Zeng, arXiv:0708.1021);
+    # a stabilizer code's dimension is a power of two.
+    code = the_9_12_3()
+    words = set(code.masks)
+    outside = sum(1 for a in code.masks for b in code.masks if a ^ b not in words)
+    power_of_two = code.size & (code.size - 1) == 0
+    ok = code.size == 12 and not power_of_two and outside == 80
+    report(9, ok, f"{code.size} words, not a power of two; {outside} of 144 XORs leave the word set")

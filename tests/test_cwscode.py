@@ -83,6 +83,32 @@ def test_duplicate_codewords_rejected():
         CwsCode(loop_graph(9), ())
 
 
+def random_graph_code(rng):
+    n = rng.randint(1, 9)
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    g = Graph.from_edges(n, [pq for pq in pairs if rng.random() < 0.5])
+    masks = rng.sample(range(1 << n), rng.randint(1, min(12, 1 << n)))
+    return g, [[v for v in range(1, n + 1) if m >> (v - 1) & 1] for m in masks]
+
+
+def test_masks_pack_the_codewords_in_order():
+    rng = random.Random(17)
+    for _ in range(60):
+        g, words = random_graph_code(rng)
+        code = CwsCode(g, tuple(frozenset(w) for w in words))
+        assert code.masks == tuple(sum(1 << (v - 1) for v in w) for w in words)
+        # masks stay outside equality, hash and repr, as before they existed
+        twin = CwsCode(g, tuple(set(w) for w in words))
+        assert twin == code and hash(twin) == hash(code)
+        assert repr(code) == f"CwsCode(graph={g!r}, codewords={code.codewords!r})"
+        if len(words) > 1:
+            assert CwsCode(g, code.codewords[::-1]) != code
+    with pytest.raises(TypeError):
+        CwsCode(loop_graph(9), CODEWORDS_9_12_3, masks=())
+    with pytest.raises(AttributeError):
+        the_9_12_3().masks = ()
+
+
 # --- matrix elements --------------------------------------------------------
 
 
@@ -364,6 +390,16 @@ def test_reduced_transitions_match_frozen_table():
     reduced = transition_set(the_9_12_3())
     assert len(reduced) == 31
     assert {"".join(str(v) for v in sorted(s)) for s in reduced} == REDUCED_31
+
+
+def test_transition_set_is_every_unordered_pair_difference():
+    rng = random.Random(29)
+    for _ in range(40):
+        g, words = random_graph_code(rng)
+        code = CwsCode(g, tuple(frozenset(w) for w in words))
+        c = code.codewords
+        brute = {c[i] ^ c[j] for i in range(len(c)) for j in range(i + 1, len(c))}
+        assert transition_set(code) == brute
 
 
 # --- the counting-argument route --------------------------------------------

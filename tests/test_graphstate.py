@@ -69,6 +69,18 @@ def test_graph_validation():
         Graph.from_edges(3, [(1, 4)])
     with pytest.raises(ValueError):
         loop_graph(2)
+    with pytest.raises(ValueError, match="^adjacency row count differs from n$"):
+        Graph(2, (0,))
+    with pytest.raises(ValueError, match="^row 1 outside vertex range$"):
+        Graph(1, (2,))
+
+
+def test_vertex_labels_checked_at_the_boundary():
+    g = loop_graph(5)
+    with pytest.raises(ValueError, match=r"^vertex 0 outside 1\.\.5$"):
+        g.neighbors(0)
+    with pytest.raises(ValueError, match=r"^vertex 0 outside 1\.\.5$"):
+        vertex_stabilizer(g, 0)
 
 
 def test_symmetry_check_is_linear_in_the_edges():
@@ -211,6 +223,19 @@ def test_vertex_caps_are_the_real_limits(use):
     call(limit)
     with pytest.raises(ValueError, match=f"limited to {limit} "):
         call(limit + 1)
+
+
+def test_qubit_counts_checked_at_the_boundary():
+    g = loop_graph(5)
+    s4, s5 = state_vector(loop_graph(4)), state_vector(g)
+    for call in (
+        lambda: reduce_error(g, identity(4)),
+        lambda: overlap(g, identity(6)),
+        lambda: apply_pauli(s4, identity(5)),
+        lambda: inner_product(s4, s5),
+    ):
+        with pytest.raises(ValueError, match="^qubit counts differ$"):
+            call()
 
 
 # --- dense state operations -------------------------------------------------

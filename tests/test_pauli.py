@@ -184,6 +184,14 @@ def test_out_of_range_masks_rejected():
         PauliOperator(2, 4, 0, 0)
     with pytest.raises(ValueError):
         PauliOperator(2, 0, -1, 0)
+    with pytest.raises(ValueError, match="^need at least one qubit$"):
+        PauliOperator(0, 0, 0)
+
+
+def test_products_need_equal_qubit_counts():
+    for op in (mul, commutes):
+        with pytest.raises(ValueError, match="^qubit counts differ$"):
+            op(identity(2), identity(3))
 
 
 # --- error enumeration ------------------------------------------------------
