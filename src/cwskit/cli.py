@@ -5,7 +5,8 @@ version, subcommand, the inputs it ran on (paths with the hashes of the
 bytes that were parsed, or builtin markers), elapsed time, and a
 payload.  `main` reads each command's code or graph, from its file
 through `files` or the builtin, before the handler runs, and it alone
-sets the exit code.  `--pretty` also prints the payload's fields on
+sets the exit code.  It parses with one parser per process, built by
+its first call.  `--pretty` also prints the payload's fields on
 standard error, one `key: value` line each (nested keys dotted, a list
 by its length), so it cannot disagree with the JSON.  `paper-demo`
 always prints its pass/fail table there, with or without `--pretty`.
@@ -363,8 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first `main` call, not at import; parsing leaves no state in it
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     start = time.perf_counter()
     try:
         subject, inputs = _read_input(args)

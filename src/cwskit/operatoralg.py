@@ -3,11 +3,14 @@
 A `PauliSum` maps phase-free Pauli keys (mask pairs) to exact complex
 rational coefficients; any i-power carried by an operator is folded into
 its coefficient, so equal sums compare equal structurally.  Products run
-on integers: each factor is rescaled once to Gaussian-integer numerators
-over the lcm of its denominators (a power of two for every sum the
-package builds), the pairwise products accumulate as plain int pairs,
-and `Coeff` appears only where terms enter and leave.  The result is
-exact for any rational coefficients.
+on integers in the X-before-Z normal form X**x Z**z: each factor is
+rescaled once to Gaussian-integer numerators over the lcm of its
+denominators (a power of two for every sum the package builds) and each
+of its terms turns once by i**|x & z| into normal form.  A term pair
+then costs one parity bit, the sign (-1)**|z1 & x2|, and accumulates as
+a plain int pair under the packed key (x << n) | z; each product term
+turns back once by i**-|x & z|.  `Coeff` appears only where terms enter
+and leave, and the result is exact for any rational coefficients.
 
 The code projector is built twice on purpose: from the published product
 form, each factor summed from its (vertex subset, coefficient) pairs, and
@@ -29,11 +32,23 @@ from typing import Union
 
 from .cwscode import CwsCode, matrix_element
 from .graphstate import loop_graph, stabilizer_element, _stabilizer_table
-from .pauli import PauliOperator, _product_phase
+from .pauli import PauliOperator
 # unused since brute sums the projector's terms; bench/tracing.py patches it here
 from .pauli import enumerate_errors  # noqa: F401
 
 _Scalar = Union[int, Fraction, "Coeff"]
+
+
+def _turn(re, im, k: int) -> tuple:
+    """(re, im) for the complex number re + im i times i**k; exact on ints and Fractions."""
+    k &= 3
+    if k == 1:
+        return -im, re
+    if k == 2:
+        return -re, -im
+    if k == 3:
+        return im, -re
+    return re, im
 
 
 @dataclass(frozen=True)
@@ -62,14 +77,7 @@ class Coeff:
 
     def rotated(self, k: int) -> "Coeff":
         """self times i**k."""
-        k %= 4
-        if k == 0:
-            return self
-        if k == 1:
-            return Coeff(-self.im, self.re)
-        if k == 2:
-            return Coeff(-self.re, -self.im)
-        return Coeff(self.im, -self.re)
+        return Coeff(*_turn(self.re, self.im, k))
 
     def conjugate(self) -> "Coeff":
         return Coeff(self.re, -self.im)
@@ -124,6 +132,8 @@ class PauliSum:
     terms: tuple[tuple[tuple[int, int], Coeff], ...]
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("need at least one qubit")
         full = (1 << self.n) - 1
         merged: dict[tuple[int, int], Coeff] = {}
         for (x, z), c in self.terms:
@@ -160,45 +170,58 @@ def sum_scale(x: PauliSum, c: _Scalar) -> PauliSum:
     return PauliSum(x.n, tuple((k, v * s) for k, v in x.terms))
 
 
-def _numerators(x: PauliSum) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """(den, [(x, z, re, im)]): x's coefficients as integers over one denominator."""
+def _normal_terms(x: PauliSum) -> tuple[int, list[tuple[int, int, int, int, int]]]:
+    """(den, [(key, x, z, re, im)]): x in X-before-Z normal form, over one denominator.
+
+    The letter string (x, z) is i**|x & z| X**x Z**z, so each coefficient
+    turns once by that power; key packs the masks as (x << n) | z.
+    """
     den = lcm(*(d for _, c in x.terms for d in (c.re.denominator, c.im.denominator)))
-    return den, [
-        (xm, zm, c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
-        for (xm, zm), c in x.terms
-    ]
+    terms = []
+    for (xm, zm), c in x.terms:
+        re = c.re.numerator * (den // c.re.denominator)
+        im = c.im.numerator * (den // c.im.denominator)
+        terms.append((xm << x.n | zm, xm, zm, *_turn(re, im, (xm & zm).bit_count())))
+    return den, terms
 
 
 def sum_mul(x: PauliSum, y: PauliSum) -> PauliSum:
-    """Exact product, expanding all pairwise Pauli products."""
+    """Exact product, expanding all pairwise Pauli products.
+
+    `pauli._product_phase` split into its three parts: each factor term
+    turns into normal form once, each term pair picks up only the sign
+    (-1)**|z1 & x2| of the Zs hopping over the Xs, and each product term
+    turns back by i**-|x & z| once.
+    """
     if x.n != y.n:
         raise ValueError("qubit counts differ")
-    dx, xs = _numerators(x)
-    dy, ys = _numerators(y)
-    acc: dict[tuple[int, int], list[int]] = {}
-    for x1, z1, a1, b1 in xs:
-        for x2, z2, a2, b2 in ys:
+    n = x.n
+    dx, xs = _normal_terms(x)
+    dy, ys = _normal_terms(y)
+    acc: dict[int, list[int]] = {}
+    get = acc.get
+    for k1, _, z1, a1, b1 in xs:
+        for k2, x2, _, a2, b2 in ys:
             re = a1 * a2 - b1 * b2
             im = a1 * b2 + b1 * a2
-            k = _product_phase(x1, z1, x2, z2)
-            if k == 1:
-                re, im = -im, re
-            elif k == 2:
+            if (z1 & x2).bit_count() & 1:
                 re, im = -re, -im
-            elif k == 3:
-                re, im = im, -re
-            key = (x1 ^ x2, z1 ^ z2)
-            slot = acc.get(key)
+            key = k1 ^ k2
+            slot = get(key)
             if slot is None:
                 acc[key] = [re, im]
             else:
                 slot[0] += re
                 slot[1] += im
     den = dx * dy
-    return PauliSum(x.n, tuple(
-        (key, Coeff(Fraction(re, den), Fraction(im, den)))
-        for key, (re, im) in acc.items() if re or im
-    ))
+    full = (1 << n) - 1
+    terms = []
+    for key, (re, im) in acc.items():
+        if re or im:
+            xm, zm = key >> n, key & full
+            re, im = _turn(re, im, -(xm & zm).bit_count())
+            terms.append(((xm, zm), Coeff(Fraction(re, den), Fraction(im, den))))
+    return PauliSum(n, tuple(terms))
 
 
 def adjoint(x: PauliSum) -> PauliSum:

@@ -9,9 +9,9 @@ where L_a is the Hermitian single-qubit letter selected by the mask bits
 bit a-1 of a mask belongs to qubit a.  Qubit labels are 1-based on every
 public surface.  The letters obey Y = iXZ, so rewriting an operator in
 the X-before-Z normal form costs one extra factor of i per Y letter;
-that bookkeeping lives in the one helper `_product_phase`, which every
-mask-level product in the package (`mul`, `PauliSum` products, the
-stabilizer table, the KL scan) calls.
+that bookkeeping lives in the one helper `_product_phase`, which `mul`,
+the stabilizer table and the KL scan call.  `PauliSum` products apply
+the same rule split into its parts, so a term pair costs one sign bit.
 
 Likewise the order of error enumeration is written once, in the mask
 generator `_error_masks`, which yields (x, z) pairs.  The error scans
@@ -89,6 +89,9 @@ def _product_phase(x1: int, z1: int, x2: int, z2: int) -> int:
     Convert each factor to X-before-Z normal form (one i per Y letter),
     pick up (-1) for every Z in the left factor that hops over an X in
     the right one, then convert the product back to letter form.
+    `operatoralg.sum_mul` applies this rule split up: it converts each
+    term once, pays only the hop sign per term pair, and converts each
+    product term back once.
     """
     return (
         (x1 & z1).bit_count()

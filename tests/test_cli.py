@@ -571,3 +571,32 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_one_parser_serves_every_call_and_keeps_no_state(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_parser", None)
+    # an option given to one call does not carry over to the next
+    assert run(capsys, "verify", "--weight", "3")[1]["payload"]["checked_weight"] == 3
+    assert run(capsys, "verify")[1]["payload"]["checked_weight"] == 2
+    assert run(capsys, "distance", "--max", "2")[1]["payload"]["checked_weight"] == 2
+    assert run(capsys, "distance")[1]["payload"]["checked_weight"] == 9
+    # a rejected argv between two good calls leaves the second call's output as it was
+    before = run(capsys, "proofcheck")
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--weight", "two"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    after = run(capsys, "proofcheck")
+    for doc in (before[1], after[1]):
+        del doc["elapsed_seconds"]
+    assert after == before
+    assert len(built) == 1
+    assert build() is not build()

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from cwskit import operatoralg as oa
 from cwskit.cwscode import CwsCode, the_9_12_3
 from cwskit.dense import apply_pauli, apply_sum, dense_matrix, state_vector
 from cwskit.graphstate import Graph, loop_graph, stabilizer_element
-from cwskit.pauli import PauliOperator, identity, mul, parse_label, z_on
+from cwskit.pauli import PauliOperator, _product_phase, identity, mul, parse_label, z_on
 
 C = oa.coeff
 
@@ -120,6 +121,69 @@ def test_sum_mul_matches_operator_mul():
         a = random_coeff(scale_rng)
         b = random_coeff(scale_rng)
         assert oa.sum_mul(oa.from_pauli(p, a), oa.from_pauli(q, b)) == oa.from_pauli(mul(p, q), a * b)
+
+
+def test_sum_mul_splits_the_one_phase_rule():
+    # a unit term pair multiplies to i**_product_phase, exhaustively on 2 qubits
+    n = 2
+    letters = [(x, z) for x in range(4) for z in range(4)]
+    for x1, z1 in letters:
+        for x2, z2 in letters:
+            got = oa.sum_mul(oa.PauliSum(n, (((x1, z1), 1),)), oa.PauliSum(n, (((x2, z2), 1),)))
+            phase = _product_phase(x1, z1, x2, z2)
+            assert got.terms == (((x1 ^ x2, z1 ^ z2), C(1).rotated(phase)),)
+
+
+def distributive_product(x, y):
+    """x y as the sum of every term pair's product through `mul`."""
+    return reduce(oa.sum_add, (
+        oa.from_pauli(mul(PauliOperator(x.n, *k1, 0), PauliOperator(x.n, *k2, 0)), a * b)
+        for k1, a in x.terms for k2, b in y.terms
+    ), oa.zero_sum(x.n))
+
+
+@pytest.mark.parametrize("n", [1, 5, 9, 14])
+def test_sum_mul_matches_the_distributive_product(n):
+    rng = random.Random(1800 + n)
+    full = 1 << n
+    # a few masks shared by both factors, so products collide, merge and cancel
+    pool = [(rng.randrange(full), rng.randrange(full)) for _ in range(4)]
+    for _ in range(25):
+        x, y = (
+            oa.PauliSum(n, tuple(
+                (rng.choice(pool) if rng.random() < 0.5 else (rng.randrange(full), rng.randrange(full)),
+                 random_coeff(rng))
+                for _ in range(rng.randint(1, 6))
+            ))
+            for _ in range(2)
+        )
+        assert oa.sum_mul(x, y) == distributive_product(x, y)
+        assert oa.sum_mul(x, x) == distributive_product(x, x)
+
+
+@pytest.mark.parametrize("n", [1, 14])
+def test_sum_mul_cancels_terms_exactly(n):
+    def label(text):
+        return oa.from_pauli(parse_label(text.replace("1", str(n)), n))
+
+    x, y, z = label("X1"), label("Y1"), label("Z1")
+    # (X + Z)(X - Z) = 2i Y: the identity terms cancel
+    product = oa.sum_mul(oa.sum_add(x, z), oa.sum_add(x, oa.sum_scale(z, -1)))
+    assert product == oa.sum_scale(y, oa.Coeff(Fraction(0), Fraction(2)))
+    assert product == distributive_product(oa.sum_add(x, z), oa.sum_add(x, oa.sum_scale(z, -1)))
+    # (X + i Y)**2 = 0: every term cancels
+    raising = oa.sum_add(x, oa.sum_scale(y, oa.Coeff(Fraction(0), Fraction(1))))
+    assert oa.sum_mul(raising, raising) == oa.zero_sum(n)
+    assert oa.sum_mul(raising, raising).terms == ()
+
+
+def test_pauli_sum_needs_a_qubit():
+    with pytest.raises(ValueError, match="^need at least one qubit$"):
+        oa.PauliSum(0, ())
+    with pytest.raises(ValueError, match="^need at least one qubit$"):
+        oa.PauliSum(-1, ())
+    with pytest.raises(ValueError, match="^mask outside 1-qubit range$"):
+        oa.PauliSum(1, (((2, 0), 1),))
 
 
 @st.composite
