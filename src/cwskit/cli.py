@@ -38,7 +38,7 @@ from .cwscode import distance  # noqa: F401
 from .files import read_code, read_graph, render_code
 # unused since `files` reads each input once; bench/tracing.py patches them here
 from .files import load_code, resolve_graph_reference  # noqa: F401
-from .graphstate import is_loop_graph, loop_graph
+from .graphstate import _edge_parities, is_loop_graph, loop_graph
 from .operatoralg import (
     adjoint,
     build_projector,
@@ -210,17 +210,11 @@ def _cmd_enumerator(args, code):
 
 
 def _cmd_statevec(args, g):
-    try:
-        from .dense import state_vector  # numpy is needed here only
-    except ImportError as exc:
-        raise ValueError("statevec needs numpy; install cwskit[dense]") from exc
-
-    state = state_vector(g)
     denom = f"1/√{1 << g.n}"
     return {
         "n": g.n,
         "scale": denom,
-        "amplitudes": [("+" if a.real > 0 else "-") + denom for a in state.amps],
+        "amplitudes": [("-" if odd else "+") + denom for odd in _edge_parities(g)],
     }
 
 
@@ -354,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, graph=True)
     p.add_argument("--distance", type=int, default=3, help="target distance")
     p.add_argument("--min-size", type=int, default=1, help="size the result must reach to pass")
-    p.add_argument("--budget", type=_budget, default=60.0, help="time budget, e.g. 60s")
+    p.add_argument("--budget", type=_budget, default=SearchConfig.time_budget,
+                   help="time budget, e.g. 60s")
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("paper-demo", help="run the full ((9,12,3)) reproduction")

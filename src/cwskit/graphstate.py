@@ -4,8 +4,8 @@ A graph on n vertices is held as n adjacency-row masks over GF(2).  The
 graph state |G> is the unique joint +1 eigenvector of the vertex
 stabilizers G_a = X_a Z_{N(a)}; in the computational basis its amplitude
 at mu is (-1)**(number of edges inside the support of mu) / sqrt(2**n).
-Everything here is mask arithmetic; the dense-vector oracle that checks
-it lives in `dense`.
+Everything here is mask arithmetic, those signs included; the
+dense-vector oracle that checks it lives in `dense`.
 
 Every exhaustive structure has a size cap, and `_VERTEX_CAPS` is the one
 place they are declared; `_check_cap` is the one check.
@@ -21,10 +21,10 @@ from ._masks import mask_of, vertices_of
 from .pauli import PauliOperator, _product_phase, identity, mul, phase_value
 
 # Largest n each exhaustive structure is built for.  "table": the 2**n
-# stabilizer table behind every scan, projector and enumerator, and the
-# 2**n dense state vector; "matrix": a 4**n dense Pauli matrix; "search":
-# the clique search over up to 2**n candidate codewords with pairwise
-# adjacency.
+# stabilizer table behind every scan, projector and enumerator, the 2**n
+# amplitude signs, and the 2**n dense state vector; "matrix": a 4**n dense
+# Pauli matrix; "search": the clique search over up to 2**n candidate
+# codewords with pairwise adjacency.
 _VERTEX_CAPS = {"table": 14, "matrix": 10, "search": 12}
 
 
@@ -85,24 +85,15 @@ class Graph:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges as (a, b) pairs with a < b, sorted."""
-        out = []
-        for a in range(1, self.n + 1):
-            row = self.rows[a - 1]
-            for b in range(a + 1, self.n + 1):
-                if row & (1 << (b - 1)):
-                    out.append((a, b))
-        return tuple(out)
+        return tuple((a, b) for a in range(1, self.n + 1) for b in range(a + 1, self.n + 1)
+                     if self.rows[a - 1] >> (b - 1) & 1)
 
     def gamma(self, x_mask: int) -> int:
         """The adjacency matrix applied to a mask over GF(2)."""
         z = 0
-        a = 0
-        m = x_mask
-        while m:
-            if m & 1:
-                z ^= self.rows[a]
-            m >>= 1
-            a += 1
+        for a, row in enumerate(self.rows):
+            if x_mask >> a & 1:
+                z ^= row
         return z
 
 
@@ -137,13 +128,9 @@ def stabilizer_element(g: Graph, u: Iterable[int]) -> PauliOperator:
 
 def _stab_element(g: Graph, u_mask: int) -> PauliOperator:
     p = identity(g.n)
-    m = u_mask
-    a = 1
-    while m:
-        if m & 1:
+    for a in range(1, g.n + 1):
+        if u_mask >> (a - 1) & 1:
             p = mul(p, vertex_stabilizer(g, a))
-        m >>= 1
-        a += 1
     return p
 
 
@@ -166,6 +153,19 @@ def _stabilizer_table(g: Graph) -> list[tuple[int, int]]:
         row = g.rows[bit.bit_length() - 1]
         table.append((z ^ row, (phase + _product_phase(rest, z, bit, row)) % 4))
     return table
+
+
+def _edge_parities(g: Graph) -> list[int]:
+    """The parity of the edges inside each basis mask mu: the sign bit of <mu|G>.
+
+    As in `_stabilizer_table`, mask m adds its lowest vertex to rest = m & (m - 1).
+    """
+    _check_cap(g.n, "table", "amplitude signs")
+    parity = [0]
+    for m in range(1, 1 << g.n):
+        rest = m & (m - 1)
+        parity.append(parity[rest] ^ (g.rows[(m & -m).bit_length() - 1] & rest).bit_count() & 1)
+    return parity
 
 
 def overlap(g: Graph, p: PauliOperator) -> complex:

@@ -13,8 +13,9 @@ turns back once by i**-|x & z|.  `Coeff` appears only where terms enter
 and leave, and the result is exact for any rational coefficients.
 
 The code projector is built twice on purpose: from the published product
-form, each factor summed from its (vertex subset, coefficient) pairs, and
-as the sum of codeword projectors; the two must agree term for term.
+form, each factor summed from its (vertex subset, coefficient) pairs and
+the overall 2**-10 carried by the first factor, and as the sum of
+codeword projectors; the two must agree term for term.
 
 The weight enumerator A_d, the sum of Tr(P E)**2 over weight-d Paulis E,
 is derived twice too: fast from signed codeword counts, brute from the
@@ -271,12 +272,14 @@ def build_A() -> PauliSum:
 def build_projector() -> PauliSum:
     """P = 2**-10 (1 + G_38)(1 + G_62)(1 + G_95) A (A + 8), multiplied left to right.
 
-    Each local factor 1 + G_U is the (vertex subset, coefficient) list [((), 1), (U, 1)].
+    Each local factor 1 + G_U is the (vertex subset, coefficient) list [((), 1), (U, 1)];
+    the scale 2**-10 rides on the first, [((), 2**-10), ((3, 8), 2**-10)], so no
+    closing rescale passes the product's terms through `Coeff` again.
     """
     a = build_A()
-    local = [_factor([((), 1), (u, 1)]) for u in ((3, 8), (6, 2), (9, 5))]
-    p = reduce(sum_mul, (*local, a, sum_add(a, identity_sum(9, 8))))
-    return sum_scale(p, Fraction(1, 1 << 10))
+    s = Fraction(1, 1 << 10)
+    local = [_factor([((), c), (u, c)]) for u, c in (((3, 8), s), ((6, 2), 1), ((9, 5), 1))]
+    return reduce(sum_mul, (*local, a, sum_add(a, identity_sum(9, 8))))
 
 
 def _signed_count(u: int, masks: tuple[int, ...]) -> int:

@@ -3,6 +3,7 @@
 import builtins
 import hashlib
 import json
+import random
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -410,14 +411,30 @@ def test_removed_method_option_exits_two(capsys):
     assert info.value.code == 2
 
 
-def test_statevec_signs_match_the_state(capsys):
-    code, doc, _ = run(capsys, "statevec")
-    assert code == 0
-    amps = doc["payload"]["amplitudes"]
-    state = state_vector(loop_graph(9))
-    assert len(amps) == 512
-    for text, amp in zip(amps, state.amps):
-        assert text == ("+" if amp.real > 0 else "-") + "1/√512"
+def test_statevec_signs_match_the_state(capsys, tmp_path):
+    # the command reads each sign from the parity of the edges inside the
+    # basis mask; the dense oracle builds the state from the edge list
+    rng = random.Random(19)
+    graphs = [loop_graph(9), loop_graph(14)]  # a graph file at the table cap
+    for n in [*range(1, 12), *range(1, 12)]:
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        density = rng.random()
+        graphs.append(Graph.from_edges(n, [pq for pq in pairs if rng.random() < density]))
+    runs = [(loop_graph(9), [])]  # the builtin
+    for index, g in enumerate(graphs):
+        path = tmp_path / f"g{index}.graph"
+        path.write_text(render_graph(g))
+        runs.append((g, ["--graph", str(path)]))
+    for g, argv in runs:
+        code, doc, _ = run(capsys, "statevec", *argv)
+        assert code == 0
+        scale = f"1/√{1 << g.n}"
+        expected = [("-" if a.real < 0 else "+") + scale for a in state_vector(g).amps]
+        assert doc["payload"] == {"n": g.n, "scale": scale, "amplitudes": expected}, g
+
+
+def test_search_budget_defaults_to_the_search_config():
+    assert cli.build_parser().parse_args(["search"]).budget == search.SearchConfig.time_budget
 
 
 def test_search_reaches_twelve(capsys):

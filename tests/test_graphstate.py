@@ -26,6 +26,7 @@ from cwskit.graphstate import (
     reduce_error,
     stabilizer_element,
     vertex_stabilizer,
+    _edge_parities,
     _stabilizer_table,
 )
 from cwskit.pauli import PauliOperator, identity, mul, parse_label, weight, z_on
@@ -208,6 +209,7 @@ def test_state_vector_guard():
 # Each use of a vertex cap: the table key it reads and a call at size n.
 CAP_USES = {
     "stabilizer table": ("table", lambda n: _stabilizer_table(Graph(n, (0,) * n))),
+    "amplitude signs": ("table", lambda n: _edge_parities(Graph(n, (0,) * n))),
     "dense state": ("table", lambda n: state_vector(Graph(n, (0,) * n))),
     "dense matrix": ("matrix", lambda n: dense_matrix(PauliOperator(n, 1, 1, 0))),
     "search": ("search", lambda n: compatibility_search(

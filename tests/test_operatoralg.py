@@ -267,6 +267,28 @@ def test_build_projector_equals_codeword_projector():
     assert len(p.terms) == 176
 
 
+def test_build_projector_multiplies_no_coefficient_after_the_products(monkeypatch):
+    # 2**-10 rides on the first local factor, so the six products (two in A)
+    # are the whole construction and no term passes through Coeff.__mul__
+    pairs = []
+    sum_mul = oa.sum_mul
+
+    def counted(x, y):
+        pairs.append(len(x.terms) * len(y.terms))
+        return sum_mul(x, y)
+
+    def refused(self, other):
+        raise AssertionError("Coeff product in build_projector")
+
+    monkeypatch.setattr(oa, "sum_mul", counted)
+    monkeypatch.setattr(oa.Coeff, "__mul__", refused)
+    p = oa.build_projector()
+    monkeypatch.undo()
+    assert p == oa.projector_from_codewords(the_9_12_3())
+    assert pairs == [6, 6, 4, 8, 96, 1248]
+    assert sum(pairs) + len(p.terms) ** 2 == 32344  # with P·P, the paper demo's count
+
+
 def test_projector_laws():
     p = oa.build_projector()
     assert oa.sum_mul(p, p) == p
