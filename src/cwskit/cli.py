@@ -62,16 +62,24 @@ def _read_input(args) -> tuple:
     return read_code(args.code)
 
 
-def _exact_value(v: complex) -> str:
-    # a violation value is phase_value of an int, so always a unit
-    return {1: "1", -1: "-1", 1j: "i", -1j: "-i"}[v]
+# a violation value is phase_value of an int, so always a unit
+_EXACT_VALUES = {1: "1", -1: "-1", 1j: "i", -1j: "-i"}
 
 
 def _violation_rows(report) -> list:
-    return [
-        {"error": render_label(v.error), "i": v.i, "j": v.j, "value": _exact_value(v.value)}
-        for v in report.violations
-    ]
+    """One row per listed violation, with one label per distinct error.
+
+    `kl_verify` and `_kl_report` list an error's violations next to each
+    other, sharing one operator, so a label is rendered only when the
+    operator object changes.
+    """
+    rows = []
+    last = label = None
+    for error, i, j, value in report.violations:
+        if error is not last:
+            last, label = error, render_label(error)
+        rows.append({"error": label, "i": i, "j": j, "value": _EXACT_VALUES[value]})
+    return rows
 
 
 def _budget(text: str) -> float:
@@ -383,8 +391,8 @@ def main(argv=None) -> int:
         "elapsed_seconds": round(time.perf_counter() - start, 6),
         "payload": payload,
     }
-    json.dump(report, sys.stdout, indent=2)
-    print()
+    # one write: with indent, json.dump would write each of its many chunks
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
     if args.pretty:
         _eprint(*_pretty_lines(payload))
     return 0 if payload.get("passed", True) else 1

@@ -24,8 +24,8 @@ read its keys.  The scans take each error as its (x, z) mask pair from
 `pauli._error_masks`.  `_weight_scans` is the one loop over error
 weights: `kl_verify`, `distance` and the `distance` and `paper-demo`
 commands read it, so each scans a weight at most once.  A
-`PauliOperator` appears only in reports, one per listed violation, and
-in `matrix_element`, which computes one element through explicit Pauli
+`PauliOperator` appears only in reports, one per distinct listed error,
+and in `matrix_element`, which computes one element through explicit Pauli
 products and the graph-state overlap; it is the reference the scan is
 tested against.  `proof_check` never touches matrix elements or lists
 errors: on any graph it sums single-qubit patterns up to weight 2 and
@@ -206,11 +206,15 @@ def _weight_scans(code: CwsCode, max_weight: int, collect: bool):
 def _kl_report(
     code: CwsCode, max_weight: int, violations: list[KLViolation], pure: bool
 ) -> KLReport:
-    """A KLReport on scanned violations, with operators only for the reported ones."""
+    """A KLReport on scanned violations, one operator per distinct listed error.
+
+    The scan lists several codeword pairs for most errors, so the listed
+    violations that share an error share its `PauliOperator`.
+    """
     count = len(violations)
-    reported = tuple(
-        v._replace(error=PauliOperator(code.n, *v.error)) for v in violations[:_VIOLATION_CAP]
-    )
+    listed = violations[:_VIOLATION_CAP]
+    operators = {e: PauliOperator(code.n, *e) for e in dict.fromkeys(v.error for v in listed)}
+    reported = tuple(KLViolation(operators[e], i, j, value) for e, i, j, value in listed)
     return KLReport(
         checked_weight=max_weight,
         passed=count == 0,

@@ -207,17 +207,17 @@ def parse_label(s: str, n: int) -> PauliOperator:
 
 
 def render_label(p: PauliOperator) -> str:
-    """Canonical label: phase prefix, then letters by ascending qubit."""
+    """Canonical label: phase prefix, then letters by ascending qubit.
+
+    Only the set bits of the support x | z are visited, lowest first.
+    """
+    x, z = p.x, p.z
     parts = []
-    for qubit in range(1, p.n + 1):
-        bit = 1 << (qubit - 1)
-        xb = bool(p.x & bit)
-        zb = bool(p.z & bit)
-        if xb and zb:
-            parts.append(f"Y{qubit}")
-        elif xb:
-            parts.append(f"X{qubit}")
-        elif zb:
-            parts.append(f"Z{qubit}")
+    rest = x | z
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        letter = "Y" if x & z & bit else "X" if x & bit else "Z"
+        parts.append(f"{letter}{bit.bit_length()}")
     body = " ".join(parts) if parts else "I"
     return _PHASE_PREFIXES[p.phase] + body

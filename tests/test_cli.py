@@ -16,7 +16,7 @@ from cwskit.cwscode import CODEWORDS_9_12_3, CwsCode
 from cwskit.dense import state_vector
 from cwskit.files import read_code, render_code, render_graph
 from cwskit.graphstate import Graph, loop_graph, reduce_error
-from cwskit.pauli import enumerate_errors
+from cwskit.pauli import PauliOperator, enumerate_errors, render_label
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -25,6 +25,8 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     doc = json.loads(captured.out) if captured.out.strip() else None
+    # a report is one JSON document, indented by two spaces, and a newline
+    assert captured.out == ("" if doc is None else json.dumps(doc, indent=2) + "\n")
     return code, doc, captured.err
 
 
@@ -101,6 +103,57 @@ def test_verify_failure_lists_violations(capsys, tmp_path):
     assert rows
     assert any(r["error"] == "Z1" for r in rows)
     assert all(set(r) == {"error", "i", "j", "value"} for r in rows)
+
+
+def test_violation_rows_match_rows_rendered_one_by_one(capsys, tmp_path, monkeypatch):
+    # seeded random codes that all fail; the last lists 1280 violations at
+    # weight 4, past the 1000-row cap.  The slow way renders each row of
+    # the library's own report from a fresh operator
+    values = {1: "1", -1: "-1", 1j: "i", -1j: "-i"}
+
+    def slow_rows(report, n):
+        return [
+            {"error": render_label(PauliOperator(n, v.error.x, v.error.z)),
+             "i": v.i, "j": v.j, "value": values[v.value]}
+            for v in report.violations
+        ]
+
+    rendered = []
+    monkeypatch.setattr(cli, "render_label", lambda p: rendered.append(p) or render_label(p))
+    rng = random.Random(23)
+    counts = []
+    for index in range(6):
+        n = rng.choice([8, 9, 10])
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        g = Graph.from_edges(n, [pq for pq in pairs if rng.random() < 0.5])
+        words = rng.sample(range(1 << n), rng.randint(2, 8))
+        code = CwsCode(g, [frozenset(v + 1 for v in range(n) if w >> v & 1) for w in words])
+        graph_file = tmp_path / f"r{index}.graph"
+        graph_file.write_text(render_graph(g))
+        code_file = tmp_path / f"r{index}.code"
+        code_file.write_text(render_code(code, graph_file.name))
+        report = cwscode.kl_verify(code, 4)
+        found = cwscode.distance(code, n)
+        runs = [
+            (["verify", "--weight", "4"], report, 1,
+             {"passed": False, "violations_capped": report.violations_capped}),
+            # weights below the distance scan clean, so its scan lists the
+            # first failing weight's violations
+            (["distance"], cwscode.kl_verify(code, found), 0, {"passed": True, "distance": found}),
+        ]
+        for argv, listed, exit_code, fields in runs:
+            rendered.clear()
+            status, doc, _ = run(capsys, *argv, "--code", str(code_file))
+            payload = doc["payload"]
+            assert status == exit_code, argv
+            assert {k: payload[k] for k in fields} == fields, argv
+            assert payload["violations"] == slow_rows(listed, n), argv
+            assert len(payload["violations"]) == min(listed.violation_count, 1000)
+            assert payload["counts"]["violations"] == listed.violation_count
+            # one label per distinct listed error
+            assert rendered == list(dict.fromkeys(v.error for v in listed.violations))
+        counts.append(report.violation_count)
+    assert counts[-1] == 1280 and 0 < min(counts) and max(counts[:-1]) < 1000
 
 
 def test_duplicate_codeword_file_exits_two(capsys, tmp_path):
