@@ -38,7 +38,7 @@ from .cwscode import distance  # noqa: F401
 from .files import read_code, read_graph, render_code
 # unused since `files` reads each input once; bench/tracing.py patches them here
 from .files import load_code, resolve_graph_reference  # noqa: F401
-from .graphstate import _edge_parities, is_loop_graph, loop_graph
+from .graphstate import _stabilizer_table, is_loop_graph, loop_graph
 from .operatoralg import (
     adjoint,
     build_projector,
@@ -222,7 +222,10 @@ def _cmd_statevec(args, g):
     return {
         "n": g.n,
         "scale": denom,
-        "amplitudes": [("-" if odd else "+") + denom for odd in _edge_parities(g)],
+        # s_u = (-1)**|E(u)| X**u Z**z in normal form, E(u) the edges inside u; the table's
+        # phase r is for letters, one i per Y, so r + |u & z| = 2|E(u)| (mod 4)
+        "amplitudes": [("-" if (r + (u & z).bit_count()) >> 1 & 1 else "+") + denom
+                       for u, (z, r) in enumerate(_stabilizer_table(g))],
     }
 
 

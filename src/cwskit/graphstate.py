@@ -4,8 +4,10 @@ A graph on n vertices is held as n adjacency-row masks over GF(2).  The
 graph state |G> is the unique joint +1 eigenvector of the vertex
 stabilizers G_a = X_a Z_{N(a)}; in the computational basis its amplitude
 at mu is (-1)**(number of edges inside the support of mu) / sqrt(2**n).
-Everything here is mask arithmetic, those signs included; the
-dense-vector oracle that checks it lives in `dense`.
+Everything here is mask arithmetic, those signs included: they are read
+from the stabilizer table, whose element for x mask mu is i**r times the
+letters of (mu, Gamma mu) with r + |mu & Gamma mu| = 2 |edges inside mu|
+(mod 4); the dense-vector oracle that checks it lives in `dense`.
 
 Every exhaustive structure has a size cap, and `_VERTEX_CAPS` is the one
 place they are declared; `_check_cap` is the one check.
@@ -20,9 +22,9 @@ from typing import Iterable, NamedTuple
 from ._masks import mask_of, vertices_of
 from .pauli import PauliOperator, _product_phase, identity, mul, phase_value
 
-# Largest n each exhaustive structure is built for.  "table": the 2**n
-# stabilizer table behind every scan, projector and enumerator, the 2**n
-# amplitude signs, and the 2**n dense state vector; "matrix": a 4**n dense
+# Largest n each exhaustive structure is built for.  "table": the one 2**n
+# stabilizer table behind every scan, projector, enumerator and amplitude
+# sign, and the 2**n dense state vector; "matrix": a 4**n dense
 # Pauli matrix; "search": the clique search over up to 2**n candidate
 # codewords with pairwise adjacency.
 _VERTEX_CAPS = {"table": 14, "matrix": 10, "search": 12}
@@ -43,6 +45,7 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", tuple(self.rows))
         if self.n < 1:
             raise ValueError("need at least one vertex")
         if len(self.rows) != self.n:
@@ -78,23 +81,10 @@ class Graph:
             rows[b - 1] |= 1 << (a - 1)
         return cls(n, tuple(rows))
 
-    def neighbors(self, a: int) -> frozenset[int]:
-        if not 1 <= a <= self.n:
-            raise ValueError(f"vertex {a} outside 1..{self.n}")
-        return vertices_of(self.rows[a - 1])
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges as (a, b) pairs with a < b, sorted."""
         return tuple((a, b) for a in range(1, self.n + 1) for b in range(a + 1, self.n + 1)
                      if self.rows[a - 1] >> (b - 1) & 1)
-
-    def gamma(self, x_mask: int) -> int:
-        """The adjacency matrix applied to a mask over GF(2)."""
-        z = 0
-        for a, row in enumerate(self.rows):
-            if x_mask >> a & 1:
-                z ^= row
-        return z
 
 
 def loop_graph(n: int) -> Graph:
@@ -153,19 +143,6 @@ def _stabilizer_table(g: Graph) -> list[tuple[int, int]]:
         row = g.rows[bit.bit_length() - 1]
         table.append((z ^ row, (phase + _product_phase(rest, z, bit, row)) % 4))
     return table
-
-
-def _edge_parities(g: Graph) -> list[int]:
-    """The parity of the edges inside each basis mask mu: the sign bit of <mu|G>.
-
-    As in `_stabilizer_table`, mask m adds its lowest vertex to rest = m & (m - 1).
-    """
-    _check_cap(g.n, "table", "amplitude signs")
-    parity = [0]
-    for m in range(1, 1 << g.n):
-        rest = m & (m - 1)
-        parity.append(parity[rest] ^ (g.rows[(m & -m).bit_length() - 1] & rest).bit_count() & 1)
-    return parity
 
 
 def overlap(g: Graph, p: PauliOperator) -> complex:

@@ -147,10 +147,6 @@ class PauliSum:
         object.__setattr__(self, "terms", canon)
 
 
-def zero_sum(n: int) -> PauliSum:
-    return PauliSum(n, ())
-
-
 def identity_sum(n: int, c: _Scalar = 1) -> PauliSum:
     return PauliSum(n, (((0, 0), coeff(c)),))
 
@@ -164,11 +160,6 @@ def sum_add(x: PauliSum, y: PauliSum) -> PauliSum:
     if x.n != y.n:
         raise ValueError("qubit counts differ")
     return PauliSum(x.n, x.terms + y.terms)
-
-
-def sum_scale(x: PauliSum, c: _Scalar) -> PauliSum:
-    s = coeff(c)
-    return PauliSum(x.n, tuple((k, v * s) for k, v in x.terms))
 
 
 def _normal_terms(x: PauliSum) -> tuple[int, list[tuple[int, int, int, int, int]]]:
@@ -235,16 +226,6 @@ def trace(x: PauliSum) -> Coeff:
     for key, c in x.terms:
         if key == (0, 0):
             return c * coeff(1 << x.n)
-    return Coeff()
-
-
-def coefficient_of(x: PauliSum, p: PauliOperator) -> Coeff:
-    """The exact coefficient with which the operator p appears in x."""
-    if p.n != x.n:
-        raise ValueError("qubit counts differ")
-    for key, c in x.terms:
-        if key == (p.x, p.z):
-            return c.rotated(-p.phase)
     return Coeff()
 
 

@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ._masks import mask_of, vertices_of
+from ._masks import mask_of
 
 # i**k for k = 0..3, as exact complex values.
 _PHASE_VALUES = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -61,17 +61,9 @@ class PauliOperator:
     def y_count(self) -> int:
         return (self.x & self.z).bit_count()
 
-    def support(self) -> frozenset[int]:
-        """1-based labels of the qubits acted on non-trivially."""
-        return vertices_of(self.x | self.z)
-
 
 def identity(n: int) -> PauliOperator:
     return PauliOperator(n, 0, 0, 0)
-
-
-def x_on(n: int, qubits: Iterable[int]) -> PauliOperator:
-    return PauliOperator(n, mask_of(qubits, n), 0, 0)
 
 
 def z_on(n: int, qubits: Iterable[int]) -> PauliOperator:
@@ -107,28 +99,6 @@ def mul(p: PauliOperator, q: PauliOperator) -> PauliOperator:
         raise ValueError("qubit counts differ")
     phase = p.phase + q.phase + _product_phase(p.x, p.z, q.x, q.z)
     return PauliOperator(p.n, p.x ^ q.x, p.z ^ q.z, phase)
-
-
-def adjoint(p: PauliOperator) -> PauliOperator:
-    # The letter part is Hermitian, so only the phase conjugates.
-    return PauliOperator(p.n, p.x, p.z, -p.phase)
-
-
-def commutes(p: PauliOperator, q: PauliOperator) -> bool:
-    """True iff the symplectic form x_p.z_q + z_p.x_q vanishes mod 2."""
-    if p.n != q.n:
-        raise ValueError("qubit counts differ")
-    return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2 == 0
-
-
-def weight(p: PauliOperator) -> int:
-    """Number of qubits acted on by a non-identity letter."""
-    return (p.x | p.z).bit_count()
-
-
-def is_hermitian(p: PauliOperator) -> bool:
-    # With Y stored as the Hermitian letter, only the overall sign matters.
-    return p.phase % 2 == 0
 
 
 def _error_masks(n: int, d: int) -> Iterator[tuple[int, int]]:

@@ -465,10 +465,13 @@ def test_removed_method_option_exits_two(capsys):
 
 
 def test_statevec_signs_match_the_state(capsys, tmp_path):
-    # the command reads each sign from the parity of the edges inside the
-    # basis mask; the dense oracle builds the state from the edge list
+    # the command reads each sign from the stabilizer table's phases; the
+    # dense oracle builds the state from the edge list.  At the table cap:
+    # loop 14, and the empty and complete graphs, the extremes of the
+    # edge-parity identity behind those signs
     rng = random.Random(19)
-    graphs = [loop_graph(9), loop_graph(14)]  # a graph file at the table cap
+    graphs = [loop_graph(9), loop_graph(14), Graph(14, (0,) * 14),
+              Graph(14, tuple(((1 << 14) - 1) ^ (1 << a) for a in range(14)))]
     for n in [*range(1, 12), *range(1, 12)]:
         pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
         density = rng.random()

@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cwskit._masks import vertices_of
+from cwskit.cwscode import CwsCode, distance, kl_verify, the_9_12_3
 from cwskit.dense import DenseState, apply_pauli, dense_matrix, inner_product, state_vector
 from cwskit.graphstate import (
     _VERTEX_CAPS,
@@ -26,10 +28,9 @@ from cwskit.graphstate import (
     reduce_error,
     stabilizer_element,
     vertex_stabilizer,
-    _edge_parities,
     _stabilizer_table,
 )
-from cwskit.pauli import PauliOperator, identity, mul, parse_label, weight, z_on
+from cwskit.pauli import PauliOperator, identity, mul, parse_label, z_on
 from cwskit.search import SearchConfig, compatibility_search
 
 
@@ -79,8 +80,6 @@ def test_graph_validation():
 def test_vertex_labels_checked_at_the_boundary():
     g = loop_graph(5)
     with pytest.raises(ValueError, match=r"^vertex 0 outside 1\.\.5$"):
-        g.neighbors(0)
-    with pytest.raises(ValueError, match=r"^vertex 0 outside 1\.\.5$"):
         vertex_stabilizer(g, 0)
 
 
@@ -96,18 +95,29 @@ def test_symmetry_check_is_linear_in_the_edges():
 
 def test_loop_graph_structure():
     g = loop_graph(9)
-    assert g.neighbors(1) == frozenset({2, 9})
-    assert g.neighbors(5) == frozenset({4, 6})
-    assert g.neighbors(9) == frozenset({8, 1})
+    assert vertices_of(g.rows[0]) == frozenset({2, 9})
+    assert vertices_of(g.rows[4]) == frozenset({4, 6})
+    assert vertices_of(g.rows[8]) == frozenset({8, 1})
     assert len(g.edges()) == 9
     assert is_loop_graph(g)
     assert not is_loop_graph(Graph.from_edges(3, [(1, 2), (2, 3)]))
 
 
+def test_list_rows_give_the_same_graph():
+    # rows are stored as a tuple, so a list-built graph is equal, hashable
+    # and usable as the key of the cached stabilizer table
+    g = Graph(9, list(loop_graph(9).rows))
+    assert g == loop_graph(9) and hash(g) == hash(loop_graph(9))
+    assert isinstance(g.rows, tuple)
+    assert is_loop_graph(g)
+    code = the_9_12_3()
+    assert kl_verify(CwsCode(g, code.codewords), 2).passed
+    assert distance(CwsCode(g, code.codewords), 3) == 3
+
+
 def test_from_edges_roundtrip():
     g = Graph.from_edges(4, [(1, 3), (2, 4), (1, 2)])
     assert g.edges() == ((1, 2), (1, 3), (2, 4))
-    assert g.gamma(0b0001) == g.rows[0]
 
 
 # --- stabilizers ------------------------------------------------------------
@@ -125,7 +135,7 @@ def test_stabilizer_element_x_mask_is_subset():
     for _ in range(50):
         u = frozenset(v for v in range(1, 10) if rng.random() < 0.5)
         s = stabilizer_element(g, u)
-        assert s.support() >= u or u == frozenset()
+        assert vertices_of(s.x | s.z) >= u
         assert frozenset(v for v in range(1, 10) if s.x >> (v - 1) & 1) == u
 
 
@@ -209,7 +219,6 @@ def test_state_vector_guard():
 # Each use of a vertex cap: the table key it reads and a call at size n.
 CAP_USES = {
     "stabilizer table": ("table", lambda n: _stabilizer_table(Graph(n, (0,) * n))),
-    "amplitude signs": ("table", lambda n: _edge_parities(Graph(n, (0,) * n))),
     "dense state": ("table", lambda n: state_vector(Graph(n, (0,) * n))),
     "dense matrix": ("matrix", lambda n: dense_matrix(PauliOperator(n, 1, 1, 0))),
     "search": ("search", lambda n: compatibility_search(
@@ -353,7 +362,8 @@ def test_reduce_error_pattern_is_gamma_image():
             mask = 0
             for v in r.pattern:
                 mask |= 1 << (v - 1)
-            assert mask == e.z ^ g.gamma(e.x)
+            # Gamma x, taken from the mul-built stabilizer element with x mask x
+            assert mask == e.z ^ stabilizer_element(g, vertices_of(e.x)).z
 
 
 def test_reduce_error_dense_soundness():

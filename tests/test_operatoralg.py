@@ -13,7 +13,7 @@ from cwskit import operatoralg as oa
 from cwskit.cwscode import CwsCode, the_9_12_3
 from cwskit.dense import apply_pauli, apply_sum, dense_matrix, state_vector
 from cwskit.graphstate import Graph, loop_graph, stabilizer_element
-from cwskit.pauli import PauliOperator, _product_phase, identity, mul, parse_label, z_on
+from cwskit.pauli import PauliOperator, _product_phase, mul, parse_label, z_on
 
 C = oa.coeff
 
@@ -76,7 +76,7 @@ def test_coefficients_checked_at_the_boundary():
         with pytest.raises(TypeError):
             oa.coeff(bad)
         with pytest.raises(TypeError):
-            oa.sum_scale(oa.identity_sum(1), bad)
+            oa.identity_sum(1, bad)
     # a Coeff is checked too, so a float cannot slip past the boundary inside one
     for bad in ((0.5,), (Fraction(1, 2), 1j)):
         with pytest.raises(TypeError):
@@ -95,19 +95,17 @@ def test_coeff_str_spells_each_branch():
 def test_pauli_sum_canonicalizes():
     dup = oa.PauliSum(2, (((1, 0), C(1)), ((1, 0), C(2)), ((0, 3), C(0))))
     assert dup.terms == (((1, 0), C(3)),)
-    assert oa.PauliSum(2, (((1, 0), C(1)), ((1, 0), C(-1)))) == oa.zero_sum(2)
+    assert oa.PauliSum(2, (((1, 0), C(1)), ((1, 0), C(-1)))) == oa.PauliSum(2, ())
     with pytest.raises(ValueError):
         oa.PauliSum(2, (((4, 0), C(1)),))
 
 
 def test_from_pauli_folds_phase():
     p = parse_label("- X1", 2)
-    assert oa.from_pauli(p) == oa.sum_scale(oa.from_pauli(parse_label("X1", 2)), -1)
+    assert oa.from_pauli(p) == oa.from_pauli(parse_label("X1", 2), -1)
     q = parse_label("i X1 Y5 Z9", 9)
-    assert oa.coefficient_of(oa.from_pauli(q), q) == 1
-    assert oa.coefficient_of(oa.from_pauli(q, 3), q) == 3
-    with pytest.raises(ValueError, match="^qubit counts differ$"):
-        oa.coefficient_of(oa.from_pauli(q), parse_label("X1", 8))
+    assert oa.from_pauli(q).terms == (((q.x, q.z), oa.Coeff(Fraction(0), Fraction(1))),)
+    assert oa.from_pauli(q, 3).terms == (((q.x, q.z), oa.Coeff(Fraction(0), Fraction(3))),)
 
 
 def test_sum_mul_matches_operator_mul():
@@ -139,7 +137,7 @@ def distributive_product(x, y):
     return reduce(oa.sum_add, (
         oa.from_pauli(mul(PauliOperator(x.n, *k1, 0), PauliOperator(x.n, *k2, 0)), a * b)
         for k1, a in x.terms for k2, b in y.terms
-    ), oa.zero_sum(x.n))
+    ), oa.PauliSum(x.n, ()))
 
 
 @pytest.mark.parametrize("n", [1, 5, 9, 14])
@@ -163,17 +161,17 @@ def test_sum_mul_matches_the_distributive_product(n):
 
 @pytest.mark.parametrize("n", [1, 14])
 def test_sum_mul_cancels_terms_exactly(n):
-    def label(text):
-        return oa.from_pauli(parse_label(text.replace("1", str(n)), n))
+    def label(text, c=1):
+        return oa.from_pauli(parse_label(text.replace("1", str(n)), n), c)
 
-    x, y, z = label("X1"), label("Y1"), label("Z1")
+    x, z = label("X1"), label("Z1")
     # (X + Z)(X - Z) = 2i Y: the identity terms cancel
-    product = oa.sum_mul(oa.sum_add(x, z), oa.sum_add(x, oa.sum_scale(z, -1)))
-    assert product == oa.sum_scale(y, oa.Coeff(Fraction(0), Fraction(2)))
-    assert product == distributive_product(oa.sum_add(x, z), oa.sum_add(x, oa.sum_scale(z, -1)))
+    product = oa.sum_mul(oa.sum_add(x, z), oa.sum_add(x, label("Z1", -1)))
+    assert product == label("Y1", oa.Coeff(Fraction(0), Fraction(2)))
+    assert product == distributive_product(oa.sum_add(x, z), oa.sum_add(x, label("Z1", -1)))
     # (X + i Y)**2 = 0: every term cancels
-    raising = oa.sum_add(x, oa.sum_scale(y, oa.Coeff(Fraction(0), Fraction(1))))
-    assert oa.sum_mul(raising, raising) == oa.zero_sum(n)
+    raising = oa.sum_add(x, label("Y1", oa.Coeff(Fraction(0), Fraction(1))))
+    assert oa.sum_mul(raising, raising) == oa.PauliSum(n, ())
     assert oa.sum_mul(raising, raising).terms == ()
 
 
@@ -212,11 +210,10 @@ def test_algebra_laws_against_dense(xyz):
 def test_trace_and_coefficient_lookup():
     assert oa.trace(oa.identity_sum(4, Fraction(3, 8))) == 6
     assert oa.trace(oa.from_pauli(z_on(3, [1]))) == 0
-    assert oa.coefficient_of(oa.zero_sum(3), z_on(3, [2])) == 0
     with pytest.raises(ValueError):
-        oa.sum_add(oa.zero_sum(2), oa.zero_sum(3))
+        oa.sum_add(oa.PauliSum(2, ()), oa.PauliSum(3, ()))
     with pytest.raises(ValueError):
-        oa.sum_mul(oa.zero_sum(2), oa.zero_sum(3))
+        oa.sum_mul(oa.PauliSum(2, ()), oa.PauliSum(3, ()))
 
 
 def test_apply_sum_matches_dense():
@@ -227,7 +224,7 @@ def test_apply_sum_matches_dense():
         x = random_sum(rng, 3)
         assert np.allclose(apply_sum(base, x), dense_sum(x) @ base.amps)
     with pytest.raises(ValueError):
-        apply_sum(base, oa.zero_sum(4))
+        apply_sum(base, oa.PauliSum(4, ()))
 
 
 # The expansion of A multiplied out by hand: G_U G_V = G_(U xor V), so each
@@ -250,7 +247,7 @@ A_EXPANSION = (
 
 def test_build_a_matches_hand_expansion():
     g = loop_graph(9)
-    by_hand = oa.zero_sum(9)
+    by_hand = oa.PauliSum(9, ())
     for vertices, k in A_EXPANSION:
         by_hand = oa.sum_add(by_hand, oa.from_pauli(stabilizer_element(g, vertices), k))
     a = oa.build_A()
@@ -294,7 +291,7 @@ def test_projector_laws():
     assert oa.sum_mul(p, p) == p
     assert oa.adjoint(p) == p
     assert oa.trace(p) == 12
-    assert oa.coefficient_of(p, identity(9)) == Fraction(12, 512)
+    assert dict(p.terms)[(0, 0)] == Fraction(12, 512)
 
 
 def test_local_stabilizers_fix_the_projector_in_operator_form():
@@ -323,11 +320,11 @@ def test_single_codeword_projector_is_graph_state_projector():
     g = loop_graph(5)
     code = CwsCode(g, (frozenset(),))
     p = oa.projector_from_codewords(code)
-    product = oa.identity_sum(5)
+    product = oa.identity_sum(5, Fraction(1, 32))
     for a in range(1, 6):
         factor = oa.sum_add(oa.identity_sum(5), oa.from_pauli(stabilizer_element(g, (a,))))
         product = oa.sum_mul(product, factor)
-    assert p == oa.sum_scale(product, Fraction(1, 32))
+    assert p == product
     assert oa.sum_mul(p, p) == p
     assert oa.trace(p) == 1
 
