@@ -8,10 +8,15 @@ every clique: translating a valid set by one of its members keeps it
 valid, so nothing is lost.  The patterns and the empty-pattern errors
 come from `cwscode`, the one module that knows the pattern rule.
 
-Branch and bound builds each bitset row once, in mask order, then
-gathers the rows into the order it branches in.  The time budget is
-read in the row build, the gather and each search node.  The forbidden
-set before them lists no errors; only the closing `certify` is unbudgeted.
+Two candidates a and b are compatible exactly when a ^ b is 0 or a
+candidate, so a's bitset row is the candidate bitmap translated by a.
+Branch and bound builds the rows that way, gathers them into the order it
+branches in, and at each node colours the pool greedily but lists only
+the colours that can still beat the incumbent (Tomita's kmin rule).  The
+branch order and the incumbent rule fix the result, so an exhausted
+search always returns the same words.  The time budget is read once per
+row built, once per row gathered and once per node.  The forbidden set
+before them lists no errors; only the closing `certify` is unbudgeted.
 
 Found sets are never trusted: `certify` reruns the full verifier.
 """
@@ -21,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ._masks import vertices_of
 from .cwscode import CwsCode, _empty_pattern_xs, _pattern_masks, kl_verify
@@ -90,6 +95,30 @@ def _greedy_masks(candidates: list[int], forbidden: set[int]) -> list[int]:
     return chosen
 
 
+def _compatible_rows(candidates: list[int]) -> Iterator[int]:
+    """Yield each candidate's row: bit b for every candidate b compatible with it.
+
+    `candidates` must be every non-zero mask that is not forbidden, so a and
+    b are compatible exactly when a ^ b is 0 or a candidate.  The row of a
+    is then the candidate bitmap, with bit 0, translated by a and masked to
+    the candidates.  The translation swaps blocks of 2**k bits for each set
+    bit k of a, one masked swap each, on a 2**bitlen(max candidate)-bit int.
+    Each row holds its own bit, since a ^ a = 0.
+    """
+    width = 1 << max(candidates).bit_length()
+    full = (1 << width) - 1
+    # for each k: 2**k, and the positions whose bit k is clear
+    sizes = [1 << k for k in range(width.bit_length() - 1)]
+    swaps = [(s, full // ((1 << 2 * s) - 1) * ((1 << s) - 1)) for s in sizes]
+    bits = sum(1 << c for c in candidates)
+    for a in candidates:
+        row = bits | 1
+        for s, low in swaps:
+            if a & s:
+                row = (row & low) << s | (row >> s) & low
+        yield row & bits
+
+
 def _max_clique_masks(
     candidates: list[int],
     forbidden: set[int],
@@ -98,36 +127,51 @@ def _max_clique_masks(
 ) -> tuple[list[int], bool]:
     """Branch and bound over bitset adjacency, greedy coloring as the bound.
 
-    Each pair is tested once, in mask order; branch order (compatibility
-    degree descending, ties in ascending mask order) only regathers the
-    bits.  A budget that ends before the rows are gathered returns the
-    seed.  The run is single-threaded, so an exhausted run is
+    The rows come from `_compatible_rows`, so `candidates` must be every
+    non-zero mask outside `forbidden`, in ascending order; `forbidden` itself
+    is not read.  The rows are gathered into branch order: compatibility
+    degree descending, ties in ascending mask order.  Each node colours its
+    pool greedily and lists only the vertices whose colour could still lift
+    the clique past the incumbent (Tomita's kmin rule); the others are never
+    branched on.  The incumbent changes only on a strictly larger clique.
+    The budget is read once per row built, once per row gathered and once
+    per node; a budget that ends before the rows are gathered returns the
+    seed itself.  The run is single-threaded, so an exhausted run is
     reproducible bit for bit.
     """
     if not candidates:
         return [], True
     rows = []
-    for a in candidates:
+    for row in _compatible_rows(candidates):
         if time.monotonic() > deadline:
             return seed, False
-        # the leftmost character, the highest bit, stands for candidates[0]
-        rows.append(int("".join("0" if a ^ b in forbidden else "1" for b in candidates), 2))
+        rows.append(row)
     # sorted is stable, so equal degrees keep the ascending mask order
     order = sorted(range(len(candidates)), key=lambda i: -rows[i].bit_count())
     words = [candidates[i] for i in order]
-    gather = itemgetter(*reversed(order))
+    # character -1 - w of a row's binary string is bit w; the first
+    # character gathered, the highest bit, stands for words[-1]
+    gather = itemgetter(*(-1 - w for w in reversed(words)))
+    pad = f"0{max(candidates) + 1}b"
+    full = (1 << len(words)) - 1
     adj = []
+    rest = []
     for v, i in enumerate(order):
         if time.monotonic() > deadline:
             return seed, False
-        # bit j stands for words[j]; a ^ a = 0 is never forbidden, so drop bit v
-        adj.append(int("".join(gather(format(rows[i], f"0{len(words)}b"))), 2) ^ (1 << v))
+        # bit j stands for words[j]; bit v is the word itself
+        row = int("".join(gather(format(rows[i], pad))), 2)
+        adj.append(row ^ (1 << v))
+        # what one colour class leaves classable once v joins it
+        rest.append(full ^ row)
 
     best = seed
     current: list[int] = []
     timed_out = False
 
-    def color_sort(pool: int) -> tuple[list[int], list[int]]:
+    def color_sort(pool: int, kmin: int) -> tuple[list[int], list[int]]:
+        # colours up to kmin cannot lift the clique past best, so their
+        # vertices are coloured but not listed
         sequence: list[int] = []
         bounds: list[int] = []
         color = 0
@@ -135,12 +179,18 @@ def _max_clique_masks(
         while uncolored:
             color += 1
             classable = uncolored
+            if color <= kmin:
+                while classable:
+                    low = classable & -classable
+                    classable &= rest[low.bit_length() - 1]
+                    uncolored ^= low
+                continue
             while classable:
                 low = classable & -classable
                 v = low.bit_length() - 1
                 sequence.append(v)
                 bounds.append(color)
-                classable &= ~(adj[v] | low)
+                classable &= rest[v]
                 uncolored ^= low
         return sequence, bounds
 
@@ -149,7 +199,7 @@ def _max_clique_masks(
         if time.monotonic() > deadline:
             timed_out = True
             return
-        sequence, bounds = color_sort(pool)
+        sequence, bounds = color_sort(pool, len(best) - len(current))
         for k in range(len(sequence) - 1, -1, -1):
             if len(current) + bounds[k] <= len(best):
                 return
@@ -165,7 +215,7 @@ def _max_clique_masks(
                 return
             pool ^= 1 << v
 
-    expand((1 << len(words)) - 1)
+    expand(full)
     return sorted(best), not timed_out
 
 

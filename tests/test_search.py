@@ -1,11 +1,13 @@
 """Forbidden differences and the clique search over candidate codewords."""
 
 import random
+import time
 from itertools import combinations
+from operator import itemgetter
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cwskit import cli, cwscode, pauli, search
@@ -145,8 +147,9 @@ def test_search_rejects_large_graphs():
 
 
 def test_budget_holds_before_the_rows_are_built():
-    # the pairwise rows of loop 12 take seconds to build; the budget is
-    # read per candidate and per row, so the search stops near 0.25 s
+    # building and gathering the rows of loop 12 takes about 0.6 s (2 vCPU,
+    # Python 3.11), more than the budget; the budget is read per row built
+    # and per row gathered, so the search stops near 0.25 s
     r = compatibility_search(SearchConfig(loop_graph(12), 3, time_budget=0.25))
     assert r.elapsed < 1.0
     assert not r.exhausted
@@ -186,6 +189,107 @@ def _bron_kerbosch_maximum(adjacent: dict[int, set[int]]) -> int:
 
     extend(0, set(adjacent), set())
     return best
+
+
+# The clique search as it stood before its rows came from translated
+# bitmaps and its colour sort listed only colours that can branch: each
+# pair tested once against `forbidden`, every coloured vertex listed.
+# Kept verbatim as the reference the faster search must match exactly.
+def _reference_max_clique_masks(
+    candidates: list[int],
+    forbidden: set[int],
+    seed: list[int],
+    deadline: float,
+) -> tuple[list[int], bool]:
+    """Branch and bound over bitset adjacency, greedy coloring as the bound.
+
+    Each pair is tested once, in mask order; branch order (compatibility
+    degree descending, ties in ascending mask order) only regathers the
+    bits.  A budget that ends before the rows are gathered returns the
+    seed.  The run is single-threaded, so an exhausted run is
+    reproducible bit for bit.
+    """
+    if not candidates:
+        return [], True
+    rows = []
+    for a in candidates:
+        if time.monotonic() > deadline:
+            return seed, False
+        # the leftmost character, the highest bit, stands for candidates[0]
+        rows.append(int("".join("0" if a ^ b in forbidden else "1" for b in candidates), 2))
+    # sorted is stable, so equal degrees keep the ascending mask order
+    order = sorted(range(len(candidates)), key=lambda i: -rows[i].bit_count())
+    words = [candidates[i] for i in order]
+    gather = itemgetter(*reversed(order))
+    adj = []
+    for v, i in enumerate(order):
+        if time.monotonic() > deadline:
+            return seed, False
+        # bit j stands for words[j]; a ^ a = 0 is never forbidden, so drop bit v
+        adj.append(int("".join(gather(format(rows[i], f"0{len(words)}b"))), 2) ^ (1 << v))
+
+    best = seed
+    current: list[int] = []
+    timed_out = False
+
+    def color_sort(pool: int) -> tuple[list[int], list[int]]:
+        sequence: list[int] = []
+        bounds: list[int] = []
+        color = 0
+        uncolored = pool
+        while uncolored:
+            color += 1
+            classable = uncolored
+            while classable:
+                low = classable & -classable
+                v = low.bit_length() - 1
+                sequence.append(v)
+                bounds.append(color)
+                classable &= ~(adj[v] | low)
+                uncolored ^= low
+        return sequence, bounds
+
+    def expand(pool: int) -> None:
+        nonlocal best, timed_out
+        if time.monotonic() > deadline:
+            timed_out = True
+            return
+        sequence, bounds = color_sort(pool)
+        for k in range(len(sequence) - 1, -1, -1):
+            if len(current) + bounds[k] <= len(best):
+                return
+            v = sequence[k]
+            current.append(v)
+            narrowed = pool & adj[v]
+            if narrowed:
+                expand(narrowed)
+            elif len(current) > len(best):
+                best = [words[u] for u in current]
+            current.pop()
+            if timed_out:
+                return
+            pool ^= 1 << v
+
+    expand((1 << len(words)) - 1)
+    return sorted(best), not timed_out
+
+
+def test_clique_search_matches_the_reference_search():
+    cases = [(loop_graph(9), 3)] + [(Graph(len(rows), rows), 3) for rows, _ in NO_EMPTY_PATTERN_D3_MASKS]
+    rng = random.Random(22)
+    for _ in range(40):
+        n = rng.randint(5, 9)
+        # distance 2 above n = 6 can run for seconds, so it stays at n <= 6
+        cases.append((_random_graph(rng, n, 0.5), rng.choice((2, 3)) if n <= 6 else 3))
+    assert {d for g, d in cases[3:]} == {2, 3}
+    for g, d in cases:
+        forbidden = search._forbidden_masks(g, d - 1)
+        candidates = [m for m in range(1, 1 << g.n) if m not in forbidden]
+        seed = search._greedy_masks(candidates, forbidden)
+        deadline = time.monotonic() + 60.0
+        expected = _reference_max_clique_masks(candidates, forbidden, seed, deadline)
+        assert expected[1], (g, d)
+        assert search._max_clique_masks(candidates, forbidden, seed, deadline) == expected, (g, d)
 
 
 def test_exhausted_search_is_a_maximum_clique():
@@ -252,8 +356,8 @@ def least_pattern_weights(g: Graph) -> dict[int, int]:
 
 
 @st.composite
-def random_graphs(draw, smallest: int = 1):
-    n = draw(st.integers(smallest, 9))
+def random_graphs(draw, smallest: int = 1, largest: int = 9):
+    n = draw(st.integers(smallest, largest))
     return Graph.from_edges(n, [e for e in combinations(range(1, n + 1), 2) if draw(st.booleans())])
 
 
@@ -278,6 +382,40 @@ def test_empty_pattern_rule_matches_the_error_enumeration(case):
     g, w = case
     errors = (e for d in range(1, w + 1) for e in enumerate_errors(g.n, d))
     assert empty_pattern_present(g, w) == any(not reduce_error(g, e).pattern for e in errors)
+
+
+@st.composite
+def search_graphs(draw):
+    g = draw(random_graphs(largest=12))
+    if draw(st.booleans()):
+        # vertex n alone: X_n reduces to no pattern and forbids every mask
+        # holding n, so every candidate lies below 2**(n - 1)
+        g = Graph.from_edges(g.n, [e for e in g.edges() if g.n not in e])
+    return g
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(search_graphs())
+@example(loop_graph(12))
+def test_translated_rows_follow_the_pairwise_rule(g):
+    for w in range(1, g.n + 1):
+        forbidden = search._forbidden_masks(g, w)
+        candidates = [m for m in range(1, 1 << g.n) if m not in forbidden]
+        if not g.rows[-1]:
+            assert max(candidates, default=0) < 1 << (g.n - 1)
+        if not candidates:
+            break  # the forbidden set only grows with the weight
+        rows = list(search._compatible_rows(candidates))
+        assert len(rows) == len(candidates)
+        # the pairwise rule costs N² lookups, so above 256 candidates an
+        # evenly spaced 256 of the rows are checked
+        step = -(-len(rows) // 256)
+        for a, row in list(zip(candidates, rows))[::step]:
+            compatible = [b for b in candidates if a ^ b not in forbidden]
+            # character b of the reversed binary string is bit b
+            bits = format(row, f"0{1 << g.n}b")[::-1]
+            assert [b for b in candidates if bits[b] == "1"] == compatible, (g, w, a)
+            assert row.bit_count() == len(compatible)
 
 
 @pytest.fixture
