@@ -6,19 +6,26 @@ its coefficient, so equal sums compare equal structurally.  Products run
 on integers in the X-before-Z normal form X**x Z**z: each factor is
 rescaled once to Gaussian-integer numerators over the lcm of its
 denominators (a power of two for every sum the package builds) and each
-of its terms turns once by i**|x & z| into normal form.  A term pair
-then costs one parity bit, the sign (-1)**|z1 & x2|, and accumulates as
-a plain int pair under the packed key (x << n) | z; each product term
-turns back once by i**-|x & z|.  `Coeff` appears only where terms enter
-and leave, and the result is exact for any rational coefficients.
+of its terms turns once by i**|x & z| into normal form.  A Gaussian
+integer re + im i travels as the one int re + im * 2**shift, with shift
+wide enough that the two parts never overlap, so a term pair costs one
+parity bit, the sign (-1)**|z1 & x2|, and one packed-int update under
+the key (x << n) | z; each product term unpacks and turns back once by
+i**-|x & z|.  `Coeff` appears only where terms enter and leave, and the
+result is exact for any rational coefficients.
 
 The code projector is built twice on purpose: from the published product
 form, each factor summed from its (vertex subset, coefficient) pairs and
 the overall 2**-10 carried by the first factor, and as the sum of
 codeword projectors; the two must agree term for term.
 
+`projector_from_codewords` and the fast enumerator read the signed
+codeword counts t_u = sum_c (-1)**|u & c| from one integer
+Walsh-Hadamard transform of the codeword indicator, n * 2**n additions
+(the standard form of Cross, Smith, Smolin and Zeng, arXiv:0708.1021).
+
 The weight enumerator A_d, the sum of Tr(P E)**2 over weight-d Paulis E,
-is derived twice too: fast from signed codeword counts, brute from the
+is derived twice too: fast from the signed counts, brute from the
 expanded projector, where Tr(P E) is 2**n times E's coefficient and is 0
 for every E missing from P's terms.
 """
@@ -29,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
+from operator import add, sub
 from typing import Union
 
 from .cwscode import CwsCode, matrix_element
@@ -38,6 +46,7 @@ from .pauli import PauliOperator
 from .pauli import enumerate_errors  # noqa: F401
 
 _Scalar = Union[int, Fraction, "Coeff"]
+_ZERO = Fraction(0)
 
 
 def _turn(re, im, k: int) -> tuple:
@@ -162,19 +171,22 @@ def sum_add(x: PauliSum, y: PauliSum) -> PauliSum:
     return PauliSum(x.n, x.terms + y.terms)
 
 
-def _normal_terms(x: PauliSum) -> tuple[int, list[tuple[int, int, int, int, int]]]:
-    """(den, [(key, x, z, re, im)]): x in X-before-Z normal form, over one denominator.
+def _normal_terms(x: PauliSum) -> tuple[int, int, list[tuple[int, int, int, int, int]]]:
+    """(den, norm, [(key, x, z, re, im)]): x in X-before-Z normal form, over one denominator.
 
     The letter string (x, z) is i**|x & z| X**x Z**z, so each coefficient
-    turns once by that power; key packs the masks as (x << n) | z.
+    turns once by that power; key packs the masks as (x << n) | z, and
+    norm is the sum of |re| + |im| over the numerators.
     """
     den = lcm(*(d for _, c in x.terms for d in (c.re.denominator, c.im.denominator)))
     terms = []
+    norm = 0
     for (xm, zm), c in x.terms:
         re = c.re.numerator * (den // c.re.denominator)
         im = c.im.numerator * (den // c.im.denominator)
+        norm += abs(re) + abs(im)
         terms.append((xm << x.n | zm, xm, zm, *_turn(re, im, (xm & zm).bit_count())))
-    return den, terms
+    return den, norm, terms
 
 
 def sum_mul(x: PauliSum, y: PauliSum) -> PauliSum:
@@ -183,36 +195,43 @@ def sum_mul(x: PauliSum, y: PauliSum) -> PauliSum:
     `pauli._product_phase` split into its three parts: each factor term
     turns into normal form once, each term pair picks up only the sign
     (-1)**|z1 & x2| of the Zs hopping over the Xs, and each product term
-    turns back by i**-|x & z| once.
+    turns back by i**-|x & z| once.  A Gaussian integer re + im i travels
+    packed as the int re + im * 2**shift; no part of a product term can
+    exceed the product of the factors' numerator norms, so with shift two
+    bits past that product the parts never overlap and unpack exactly.
     """
     if x.n != y.n:
         raise ValueError("qubit counts differ")
     n = x.n
-    dx, xs = _normal_terms(x)
-    dy, ys = _normal_terms(y)
-    acc: dict[int, list[int]] = {}
+    dx, nx, xs = _normal_terms(x)
+    dy, ny, ys = _normal_terms(y)
+    shift = (nx * ny).bit_length() + 2
+    # each right term as +-v and +-(i v), indexed by the pair's sign bit
+    right = []
+    for k2, x2, _, a2, b2 in ys:
+        v = a2 + (b2 << shift)
+        iv = (a2 << shift) - b2
+        right.append((k2, x2, (v, -v), (iv, -iv)))
+    acc: dict[int, int] = {}
     get = acc.get
     for k1, _, z1, a1, b1 in xs:
-        for k2, x2, _, a2, b2 in ys:
-            re = a1 * a2 - b1 * b2
-            im = a1 * b2 + b1 * a2
-            if (z1 & x2).bit_count() & 1:
-                re, im = -re, -im
+        for k2, x2, v, iv in right:
+            s = (z1 & x2).bit_count() & 1
             key = k1 ^ k2
-            slot = get(key)
-            if slot is None:
-                acc[key] = [re, im]
-            else:
-                slot[0] += re
-                slot[1] += im
+            acc[key] = get(key, 0) + a1 * v[s] + b1 * iv[s]
     den = dx * dy
     full = (1 << n) - 1
+    mask = (1 << shift) - 1
+    half = 1 << (shift - 1)
     terms = []
-    for key, (re, im) in acc.items():
-        if re or im:
+    for key, packed in acc.items():
+        if packed:
+            re = ((packed + half) & mask) - half
+            im = (packed - re) >> shift
             xm, zm = key >> n, key & full
             re, im = _turn(re, im, -(xm & zm).bit_count())
-            terms.append(((xm, zm), Coeff(Fraction(re, den), Fraction(im, den))))
+            terms.append(((xm, zm), Coeff(Fraction(re, den) if re else _ZERO,
+                                          Fraction(im, den) if im else _ZERO)))
     return PauliSum(n, tuple(terms))
 
 
@@ -263,9 +282,24 @@ def build_projector() -> PauliSum:
     return reduce(sum_mul, (*local, a, sum_add(a, identity_sum(9, 8))))
 
 
-def _signed_count(u: int, masks: tuple[int, ...]) -> int:
-    """Sum over codewords c of (-1)**|u & c|."""
-    return sum(-1 if (u & c).bit_count() & 1 else 1 for c in masks)
+def _signed_counts(code: CwsCode) -> list[int]:
+    """t_u = sum over codewords c of (-1)**|u & c|, for every x mask u.
+
+    The integer Walsh-Hadamard transform of the codeword indicator, in
+    n * 2**n additions.  Each pass is the butterfly on the top index bit,
+    written with its output bit at the bottom (t'[2j] = t[j] + t[j + h],
+    t'[2j + 1] = t[j] - t[j + h]), so the index bits rotate once per pass
+    and are back in place after all n.
+    """
+    t = [0] * (1 << code.n)
+    for c in code.masks:
+        t[c] = 1
+    h = len(t) >> 1
+    for _ in range(code.n):
+        lo, hi = t[:h], t[h:]
+        t[::2] = map(add, lo, hi)
+        t[1::2] = map(sub, lo, hi)
+    return t
 
 
 def projector_from_codewords(code: CwsCode) -> PauliSum:
@@ -277,13 +311,12 @@ def projector_from_codewords(code: CwsCode) -> PauliSum:
     """
     n = code.n
     table = _stabilizer_table(code.graph)
-    scale = Fraction(1, 1 << n)
+    den = 1 << n
     terms = []
-    for u in range(1 << n):
-        t = _signed_count(u, code.masks)
+    for u, t in enumerate(_signed_counts(code)):
         if t:
             z, ph = table[u]
-            terms.append(((u, z), coeff(t * scale).rotated(ph)))
+            terms.append(((u, z), Coeff(*_turn(Fraction(t, den), _ZERO, ph))))
     return PauliSum(n, tuple(terms))
 
 
@@ -306,19 +339,19 @@ class EnumeratorResult:
 def weight_enumerator(code: CwsCode, method: str = "fast") -> EnumeratorResult:
     """The integer vector (A_0, ..., A_n) for the code projector.
 
-    fast streams the 2**n stabilizer elements and squares their signed
-    codeword counts; brute expands the projector and sums
-    Tr(P E)**2 = (2**n c)**2 over its terms (E, c), binning each by the
-    weight |x | z| of E's masks.  Every other E has Tr(P E) = 0.  Both
-    are exact, must agree, and share the stabilizer table's vertex cap.
+    fast bins the squared signed codeword count of each of the 2**n
+    stabilizer elements, all read from one transform; brute expands the
+    projector and sums Tr(P E)**2 = (2**n c)**2 over its terms (E, c),
+    binning each by the weight |x | z| of E's masks.  Every other E has
+    Tr(P E) = 0.  Both are exact, must agree, and share the stabilizer
+    table's vertex cap.
     """
     n = code.n
     if method == "fast":
         table = _stabilizer_table(code.graph)
         a = [0] * (n + 1)
-        for u in range(1 << n):
-            z, _ = table[u]
-            a[(u | z).bit_count()] += _signed_count(u, code.masks) ** 2
+        for u, t in enumerate(_signed_counts(code)):
+            a[(u | table[u][0]).bit_count()] += t * t
         return EnumeratorResult(tuple(a))
     if method == "brute":
         a = [0] * (n + 1)

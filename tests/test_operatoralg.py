@@ -1,8 +1,11 @@
 """Exact operator algebra, the ((9,12,3)) projector, and the enumerator."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from itertools import product
+from operator import xor
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 
 from cwskit import operatoralg as oa
 from cwskit.cwscode import CwsCode, the_9_12_3
-from cwskit.dense import apply_pauli, apply_sum, dense_matrix, state_vector
+from cwskit.dense import apply_pauli, apply_sum, dense_matrix, inner_product, state_vector
 from cwskit.graphstate import Graph, loop_graph, stabilizer_element
 from cwskit.pauli import PauliOperator, _product_phase, mul, parse_label, z_on
 
@@ -40,6 +43,10 @@ def random_sum(rng, n, max_terms=4):
         for _ in range(rng.randint(1, max_terms))
     )
     return oa.PauliSum(n, terms)
+
+
+def code_of(g, masks):
+    return CwsCode(g, tuple(frozenset(a + 1 for a in range(g.n) if m >> a & 1) for m in masks))
 
 
 def test_coeff_arithmetic():
@@ -175,6 +182,72 @@ def test_sum_mul_cancels_terms_exactly(n):
     assert oa.sum_mul(raising, raising).terms == ()
 
 
+def test_sum_mul_packs_every_kind_of_part():
+    # each factor's terms purely real, purely imaginary or complex; parts
+    # negative, over odd denominators and far beyond 2**70, so the packing
+    # shift has to grow with the numerators
+    rng = random.Random(2300)
+    n = 4
+    full = 1 << n
+    pool = [(rng.randrange(full), rng.randrange(full)) for _ in range(3)]
+
+    def part(big):
+        top = 1 << rng.choice((0, 3, 71, 90)) if big else 3
+        return Fraction(rng.randint(-top, top), rng.choice((1, 3, 5, 7, 9, 2**40)))
+
+    kinds = {
+        "real": lambda big: oa.Coeff(part(big), Fraction(0)),
+        "imaginary": lambda big: oa.Coeff(Fraction(0), part(big)),
+        "complex": lambda big: oa.Coeff(part(big), part(big)),
+    }
+    for kx in kinds:
+        for ky in kinds:
+            for big in (False, True):
+                for _ in range(6):
+                    x, y = (oa.PauliSum(n, tuple(
+                        (rng.choice(pool) if rng.random() < 0.5 else (rng.randrange(full), rng.randrange(full)),
+                         kinds[k](big))
+                        for _ in range(rng.randint(1, 5))
+                    )) for k in (kx, ky))
+                    assert oa.sum_mul(x, y) == distributive_product(x, y), (kx, ky, big)
+
+
+def test_sum_mul_keeps_a_part_that_survives_the_other_cancelling():
+    def c(re, im=0):
+        return oa.Coeff(Fraction(re), Fraction(im))
+
+    def terms(*pairs):
+        return oa.PauliSum(1, tuple(pairs))
+
+    X, Z, Y, I = (1, 0), (0, 1), (1, 1), (0, 0)
+    big = Fraction(2**80 + 1, 3)
+    cases = [
+        # (1 + i)**2 = 2i and (1 + i)(1 - i) = 2: one term pair each
+        (terms((I, c(1, 1))), terms((I, c(1, 1))), terms((I, c(0, 2)))),
+        (terms((I, c(1, 1))), terms((I, c(1, -1))), terms((I, c(2)))),
+        # (X + Z)((1 + i) X + (-1 + i) Z) = 2i + 2i Y: at both keys two term
+        # pairs cancel their real parts and add their imaginary ones
+        (terms((X, c(1)), (Z, c(1))), terms((X, c(1, 1)), (Z, c(-1, 1))),
+         terms((I, c(0, 2)), (Y, c(0, 2)))),
+        # the same with the parts swapped and at a scale far beyond 2**70
+        (terms((X, big), (Z, big)), terms((X, c(1, 1)), (Z, c(1, -1))),
+         terms((I, oa.Coeff(2 * big, Fraction(0))), (Y, oa.Coeff(-2 * big, Fraction(0))))),
+        # (X + Z)**2 = 2: X Z and Z X cancel in both parts, so Y drops out
+        (terms((X, big), (Z, big)), terms((X, Fraction(-5, 7)), (Z, Fraction(-5, 7))),
+         terms((I, big * Fraction(-10, 7)))),
+    ]
+    for x, y, expected in cases:
+        assert oa.sum_mul(x, y) == expected == distributive_product(x, y)
+
+
+def test_sum_mul_of_an_empty_sum_is_empty():
+    empty = oa.PauliSum(3, ())
+    x = oa.PauliSum(3, (((1, 2), oa.Coeff(Fraction(2**75, 9), Fraction(-1, 3))),))
+    for a, b in ((empty, empty), (empty, x), (x, empty)):
+        assert oa.sum_mul(a, b) == empty == distributive_product(a, b)
+        assert oa.sum_mul(a, b).terms == ()
+
+
 def test_pauli_sum_needs_a_qubit():
     with pytest.raises(ValueError, match="^need at least one qubit$"):
         oa.PauliSum(0, ())
@@ -294,6 +367,16 @@ def test_projector_laws():
     assert dict(p.terms)[(0, 0)] == Fraction(12, 512)
 
 
+def test_projector_square_has_real_coefficients_that_hash_like_them():
+    p = oa.build_projector()
+    square = oa.sum_mul(p, p)
+    assert square == p
+    for _, c in square.terms:
+        assert type(c.re) is Fraction and type(c.im) is Fraction
+        assert c.im == Fraction(0)
+        assert hash(c) == hash(c.re)
+
+
 def test_local_stabilizers_fix_the_projector_in_operator_form():
     # exact operator products, where `stabilizes` reads matrix elements
     p = oa.build_projector()
@@ -369,24 +452,88 @@ def test_weight_enumerator_random_codes():
         for _ in range(5):
             size = rng.randint(1, 4)
             masks = rng.sample(range(1 << n), size)
-            code = CwsCode(g, tuple(frozenset(
-                a + 1 for a in range(n) if m >> a & 1) for m in masks))
+            code = code_of(g, masks)
             fast = oa.weight_enumerator(code, "fast")
             assert fast == oa.weight_enumerator(code, "brute")
             assert sum(fast.a) == (1 << n) * size
             assert fast.a[0] == size * size
 
 
-def test_weight_enumerator_brute_runs_to_the_table_cap():
+def test_signed_counts_match_their_definition():
+    rng = random.Random(2301)
+    for n in range(1, 11):
+        g = Graph.from_edges(n, [])
+        full = 1 << n
+        for size in sorted({1, 2, rng.randint(1, full), full}):
+            masks = rng.sample(range(full), size)
+            assert oa._signed_counts(code_of(g, masks)) == [
+                sum(-1 if (u & c).bit_count() & 1 else 1 for c in masks) for u in range(full)
+            ], (n, size)
+
+
+def test_signed_counts_of_the_paper_code_show_its_local_stabilizers():
+    code = the_9_12_3()
+    t = oa._signed_counts(code)
+    assert Counter(map(abs, t)) == {0: 336, 4: 120, 8: 48, 12: 8}
+    # t_u = K exactly when G_u fixes every codeword: the group generated by
+    # the paper's G_62, G_38 and G_95
+    gens = [(1 << a - 1) | (1 << b - 1) for a, b in ((6, 2), (3, 8), (9, 5))]
+    group = {reduce(xor, (g for g, bit in zip(gens, bits) if bit), 0)
+             for bits in product((0, 1), repeat=3)}
+    assert len(group) == 8
+    assert {u for u, v in enumerate(t) if v == 12} == group
+    g = loop_graph(9)
+    for u in group:
+        element = stabilizer_element(g, [a + 1 for a in range(9) if u >> a & 1])
+        assert oa.stabilizes(element, code) == (True,) * 12
+
+
+def dense_enumerator(code):
+    """A_d = sum over weight-d Paulis E of |sum_i <w_i| E |w_i>|**2, on dense states."""
+    n = code.n
+    base = state_vector(code.graph)
+    words = [apply_pauli(base, PauliOperator(n, 0, m, 0)) for m in code.masks]
+    a = [0] * (n + 1)
+    for x in range(1 << n):
+        for z in range(1 << n):
+            e = PauliOperator(n, x, z, 0)
+            tr = sum(inner_product(w, apply_pauli(w, e)) for w in words)
+            square = tr.real ** 2 + tr.imag ** 2
+            assert square == round(square)
+            a[(x | z).bit_count()] += round(square)
+    return tuple(a)
+
+
+def test_weight_enumerator_methods_match_dense_states():
+    # a third route: Tr(P E) summed over codeword states, every Pauli E listed
+    rng = random.Random(2302)
+    for n in range(1, 6):
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        for _ in range(3):
+            g = Graph.from_edges(n, [pq for pq in pairs if rng.random() < 0.5])
+            code = code_of(g, rng.sample(range(1 << n), rng.randint(1, min(5, 1 << n))))
+            a = dense_enumerator(code)
+            assert oa.weight_enumerator(code, "fast").a == a == oa.weight_enumerator(code, "brute").a
+
+
+def test_weight_enumerator_brute_runs_to_the_table_cap(monkeypatch):
     rng = random.Random(61)
     for n in (13, 14):
         pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
         g = Graph.from_edges(n, [pq for pq in pairs if rng.random() < 0.5])
         masks = rng.sample(range(1 << n), 6)
-        code = CwsCode(g, tuple(frozenset(a + 1 for a in range(n) if m >> a & 1) for m in masks))
+        code = code_of(g, masks)
         assert oa.weight_enumerator(code, "brute") == oa.weight_enumerator(code, "fast")
-    with pytest.raises(ValueError, match="limited to 14 vertices"):
-        oa.weight_enumerator(CwsCode(loop_graph(15), (frozenset(),)), "brute")
+    # the cap is checked before the 2**n signed counts are listed
+    def refused(code):
+        raise AssertionError("signed counts listed past the cap")
+
+    monkeypatch.setattr(oa, "_signed_counts", refused)
+    big = CwsCode(loop_graph(15), (frozenset(),))
+    for build in (oa.projector_from_codewords, lambda c: oa.weight_enumerator(c, "fast"),
+                  lambda c: oa.weight_enumerator(c, "brute")):
+        with pytest.raises(ValueError, match="limited to 14 vertices"):
+            build(big)
 
 
 def test_weight_enumerator_rejects_unknown_method():
