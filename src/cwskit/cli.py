@@ -3,13 +3,18 @@
 Every subcommand writes one JSON document to standard output: tool,
 version, subcommand, the inputs it ran on (paths with the hashes of the
 bytes that were parsed, or builtin markers), elapsed time, and a
-payload.  `main` reads each command's code or graph, from its file
-through `files` or the builtin, before the handler runs, and it alone
-sets the exit code.  It parses with one parser per process, built by
-its first call.  `--pretty` also prints the payload's fields on
-standard error, one `key: value` line each (nested keys dotted, a list
-by its length), so it cannot disagree with the JSON.  `paper-demo`
-always prints its pass/fail table there, with or without `--pretty`.
+payload.  The document is byte for byte `json.dumps(report, indent=2)`
+and one newline.  `_json_text` lays it out into one list, which is
+joined once and written once: with `indent` set, `json.dumps` takes
+the stdlib's pure-Python encoder, which spends more than twice as long
+on a report of a few hundred violation rows.  `main` reads each
+command's code or graph, from its file through `files` or the builtin,
+before the handler runs, and it alone sets the exit code.  It parses
+with one parser per process, built by its first call.  `--pretty` also
+prints the payload's fields on standard error, one `key: value` line
+each (nested keys dotted, a list by its length), so it cannot disagree
+with the JSON.  `paper-demo` always prints its pass/fail table there,
+with or without `--pretty`.
 
 Exit codes: 0 pass, 1 when `payload["passed"]` is false, 2 malformed input.
 """
@@ -20,6 +25,7 @@ import argparse
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import __version__
@@ -96,6 +102,45 @@ def _budget(text: str) -> float:
 def _eprint(*lines: str) -> None:
     for line in lines:
         print(line, file=sys.stderr)
+
+
+def _json_text(value, out: list, indent: str = "") -> None:
+    """Append `value` to `out` in the layout of `json.dumps(value, indent=2)`.
+
+    Strings go through the stdlib's own C escaper and exact ints through
+    `int.__repr__`, as the stdlib renders them; every other scalar (bool,
+    None, float with nan and inf) through `json.dumps` itself.  Dicts,
+    lists and tuples nest with the stdlib's separators, an empty one as
+    `{}` or `[]`; dict keys are strings in every report.
+    """
+    if type(value) is str:
+        out.append(_json_str(value))
+    elif type(value) is int:
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for k, v in value.items():
+            out.append(sep + _json_str(k) + ": ")
+            _json_text(v, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for v in value:
+            out.append(sep)
+            _json_text(v, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 def _pretty_lines(value, key: str = ""):
@@ -394,8 +439,11 @@ def main(argv=None) -> int:
         "elapsed_seconds": round(time.perf_counter() - start, 6),
         "payload": payload,
     }
-    # one write: with indent, json.dump would write each of its many chunks
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    # the layout of json.dumps(report, indent=2), joined once, written once
+    text = []
+    _json_text(report, text)
+    text.append("\n")
+    sys.stdout.write("".join(text))
     if args.pretty:
         _eprint(*_pretty_lines(payload))
     return 0 if payload.get("passed", True) else 1

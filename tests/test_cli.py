@@ -1,14 +1,18 @@
 """The command-line interface: JSON reports, exit codes, diagnostics."""
 
+import argparse
 import builtins
 import hashlib
 import json
 import random
+import shutil
 import warnings
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cwskit import __version__, cli, cwscode, search
 from cwskit.cli import main
@@ -673,3 +677,59 @@ def test_one_parser_serves_every_call_and_keeps_no_state(capsys, monkeypatch):
     assert after == before
     assert len(built) == 1
     assert build() is not build()
+
+
+def json_text(value):
+    out = []
+    cli._json_text(value, out)
+    return "".join(out)
+
+
+# strings the stdlib escapes in every way it can: quotes, backslashes,
+# control characters, non-ASCII, astral characters as surrogate pairs, and
+# lone surrogates, which only the stdlib's \uXXXX escape can carry
+TRICKY = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "/", "é", "ü", "\u2028",
+                          "\U0001f600", "\ud800", "\udfff"])
+JSON_STRINGS = st.text(st.characters(exclude_categories=()) | TRICKY, max_size=12)
+JSON_SCALARS = (JSON_STRINGS | st.booleans() | st.none()
+                | st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-2**64)
+                | st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([-0.0, 1e300]))
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(JSON_STRINGS, inner, max_size=4)),
+    max_leaves=24,
+)
+# the payload of the builtin `verify --weight 3`: 762 violation rows
+WEIGHT_3_PAYLOAD = cli._cmd_verify(argparse.Namespace(weight=3), cwscode.the_9_12_3())
+WEIGHT_3_REPORT = {"tool": "cwskit", "version": __version__, "subcommand": "verify",
+                   "inputs": {"code": {"builtin": "the_9_12_3"}}, "elapsed_seconds": 0.012345,
+                   "payload": WEIGHT_3_PAYLOAD}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(JSON_TREES)
+@example(WEIGHT_3_REPORT)
+@example([True, False, None, 0, -1, 2**70, -0.0, float("nan"), float("inf"), -float("inf")])
+@example({"a": [(), [], {}, ({"b": [[{"c": ({},)}]]},)], "": ("\ud800", "x\U0001f600\"")})
+def test_json_text_lays_out_as_json_dumps_indent_2(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+def test_weight_3_payload_lists_every_violation():
+    assert len(WEIGHT_3_PAYLOAD["violations"]) == WEIGHT_3_PAYLOAD["counts"]["violations"] == 762
+
+
+def test_input_paths_outside_ascii_round_trip(capsys, tmp_path):
+    # the report escapes every non-ASCII character of a path, as json.dumps
+    # does, and the path reads back as it was typed
+    folder = tmp_path / "cws dätä"
+    shutil.copytree(DATA, folder)
+    code_file, graph_file = folder / "code_9_12_3.code", folder / "loop9.graph"
+    for command in ("verify", "projector"):
+        code, doc, _ = run(capsys, command, "--code", str(code_file))
+        assert code == 0, command
+        assert doc["inputs"] == {"code": file_record(code_file), "graph": file_record(graph_file)}
+        # run() has pinned stdout to this text
+        text = json.dumps(doc, indent=2)
+        assert "cws d\\u00e4t\\u00e4" in text and text.isascii(), command
