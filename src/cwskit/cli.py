@@ -267,10 +267,8 @@ def _cmd_statevec(args, g):
     return {
         "n": g.n,
         "scale": denom,
-        # s_u = (-1)**|E(u)| X**u Z**z in normal form, E(u) the edges inside u; the table's
-        # phase r is for letters, one i per Y, so r + |u & z| = 2|E(u)| (mod 4)
-        "amplitudes": [("-" if (r + (u & z).bit_count()) >> 1 & 1 else "+") + denom
-                       for u, (z, r) in enumerate(_stabilizer_table(g))],
+        # the table's sign for u is the parity of the edges inside u
+        "amplitudes": [("-" if sign else "+") + denom for _, sign in _stabilizer_table(g)],
     }
 
 

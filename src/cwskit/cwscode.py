@@ -7,15 +7,15 @@ loop, whose twelve subsets are listed below.
 
 Two verification routes live here.  `kl_verify` evaluates every matrix
 element <w_i| e |w_j> and demands the scalar-matrix form c_e * Identity.
-It does so in closed form on bit masks: with s the stabilizer element
-sharing e's x mask and D = z(e) + z(s) over GF(2) the induced phase-flip
-pattern,
+It does so in closed form on bit masks: with s = (-1)**sigma X**x(e)
+Z**z(s) the stabilizer element sharing e's x mask, as the table stores
+it, and D = z(e) + z(s) over GF(2) the induced phase-flip pattern,
 
-    <w_i| e |w_j> = (-1)**|x(e) & c_j| * <G| Z_D e s |G>   if c_i + c_j = D,
+    <w_i| e |w_j> = (-1)**|x(e) & c_j| * i**r   if c_i + c_j = D,
 
-and 0 otherwise, where Z_D e s is a pure phase i**r.  So the diagonal is
-i**r (-1)**|x(e) & c| when D is empty, and the only non-zero off-diagonal
-elements sit on the codeword pairs whose transition is D.
+and 0 otherwise, where Z_D e s = i**r with r = 2 sigma - |x(e) & z(e)|.
+So the diagonal is i**r (-1)**|x(e) & c| when D is empty, and the only
+non-zero off-diagonal elements sit on the codeword pairs with transition D.
 Each fact about a code is derived once, on masks.  `CwsCode.masks`
 packs the codewords when the code is built, and every mask-level route
 reads it.  `_diff_pair_map` is the one walk over codeword pairs: the
@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 from ._masks import mask_of, vertices_of
 from .graphstate import Graph, loop_graph, overlap, _stabilizer_table
-from .pauli import PauliOperator, _error_masks, _product_phase, mul, phase_value, z_on
+from .pauli import PauliOperator, _error_masks, mul, phase_value, z_on
 # unused since the scans take (x, z) masks; bench/tracing.py patches it here
 from .pauli import enumerate_errors  # noqa: F401
 
@@ -162,7 +162,7 @@ def _scan_errors(code: CwsCode, errors, collect: bool):
     pure = True
     for e in errors:
         ex, ez = e
-        z_stab, s_phase = table[ex]
+        z_stab, s_sign = table[ex]
         diff = ez ^ z_stab
         if diff == 0:
             # every diagonal element is a unit, so c_e != 0; entries break
@@ -179,7 +179,7 @@ def _scan_errors(code: CwsCode, errors, collect: bool):
         if not pairs:
             continue
         # Z_diff e s has no letters left, so only its phase i**r remains
-        r = s_phase + _product_phase(0, diff, ex, ez)
+        r = 2 * s_sign - (ex & ez).bit_count()
         for i, j in pairs:
             sign = (ex & masks[j - 1]).bit_count() & 1
             violations.append(KLViolation(e, i, j, phase_value(r + 2 * sign)))

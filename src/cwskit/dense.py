@@ -5,7 +5,7 @@ the independent cross-check the tests hold them to, and the only one
 that imports numpy.  It builds states from the edge list, operators from
 2x2 letter blocks, and reads phases only through `phase_value`, so it
 shares none of the mask arithmetic it checks: no stabilizer table, no
-product-phase rule, no error enumeration.
+Pauli phase rule of `mul`, no error enumeration.
 
 Amplitudes are stored scaled by sqrt(2**n), so every graph-basis state
 has entries in {+-1, +-i} and all arithmetic performed here stays inside

@@ -4,10 +4,10 @@ A graph on n vertices is held as n adjacency-row masks over GF(2).  The
 graph state |G> is the unique joint +1 eigenvector of the vertex
 stabilizers G_a = X_a Z_{N(a)}; in the computational basis its amplitude
 at mu is (-1)**(number of edges inside the support of mu) / sqrt(2**n).
-Everything here is mask arithmetic, those signs included: they are read
-from the stabilizer table, whose element for x mask mu is i**r times the
-letters of (mu, Gamma mu) with r + |mu & Gamma mu| = 2 |edges inside mu|
-(mod 4); the dense-vector oracle that checks it lives in `dense`.
+Everything here is mask arithmetic, those signs included: the stabilizer
+table stores each element in X-before-Z normal form, (-1)**sigma X**mu
+Z**(Gamma mu), and sigma is exactly that amplitude sign.  The dense-vector
+oracle that checks it lives in `dense`.
 
 Every exhaustive structure has a size cap, and `_VERTEX_CAPS` is the one
 place they are declared; `_check_cap` is the one check.
@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from ._masks import mask_of, vertices_of
-from .pauli import PauliOperator, _product_phase, identity, mul, phase_value
+from .pauli import PauliOperator, identity, mul, phase_value
 
 # Largest n each exhaustive structure is built for.  "table": the one 2**n
 # stabilizer table behind every scan, projector, enumerator and amplitude
@@ -128,20 +128,20 @@ def _stab_element(g: Graph, u_mask: int) -> PauliOperator:
 # its weights; a bound of 1 keeps memory flat over many graphs.
 @lru_cache(maxsize=1)
 def _stabilizer_table(g: Graph) -> list[tuple[int, int]]:
-    """(z_mask, phase) of the stabilizer element for every x mask.
+    """(Gamma u, sign) for every x mask u: the element is (-1)**sign X**u Z**(Gamma u).
 
-    Internal scan substrate; index by the x mask of the element.  Only
-    sensible for small n since the table has 2**n entries.
+    sign is the parity of the edges inside u, the graph state's amplitude
+    sign at u.  Internal scan substrate, only sensible for small n since
+    the table has 2**n entries.
     """
     _check_cap(g.n, "table", "stabilizer table")
     table: list[tuple[int, int]] = [(0, 0)]
     for m in range(1, 1 << g.n):
-        # element(m) = element(m without its lowest bit) * G_low
+        # element(m) = element(rest) * G_low; Z**z passing X_low flips sign iff z has bit
         rest = m & (m - 1)
         bit = m & -m
-        z, phase = table[rest]
-        row = g.rows[bit.bit_length() - 1]
-        table.append((z ^ row, (phase + _product_phase(rest, z, bit, row)) % 4))
+        z, sign = table[rest]
+        table.append((z ^ g.rows[bit.bit_length() - 1], sign ^ (z & bit != 0)))
     return table
 
 

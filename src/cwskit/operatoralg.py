@@ -192,7 +192,7 @@ def _normal_terms(x: PauliSum) -> tuple[int, int, list[tuple[int, int, int, int,
 def sum_mul(x: PauliSum, y: PauliSum) -> PauliSum:
     """Exact product, expanding all pairwise Pauli products.
 
-    `pauli._product_phase` split into its three parts: each factor term
+    `pauli.mul`'s phase rule split into its three parts: each factor term
     turns into normal form once, each term pair picks up only the sign
     (-1)**|z1 & x2| of the Zs hopping over the Xs, and each product term
     turns back by i**-|x & z| once.  A Gaussian integer re + im i travels
@@ -307,7 +307,9 @@ def projector_from_codewords(code: CwsCode) -> PauliSum:
 
     Conjugating a stabilizer element G_U by Z on codeword c flips its
     sign iff |U & c| is odd, so the coefficient of G_U in the projector
-    is the signed codeword count over 2**n.
+    is the signed codeword count over 2**n, times (-1)**(sign + |U & z| / 2)
+    to turn the table's (-1)**sign X**U Z**z into letters; |U & z| counts
+    the odd-degree vertices of the graph induced on U, so it is even.
     """
     n = code.n
     table = _stabilizer_table(code.graph)
@@ -315,8 +317,10 @@ def projector_from_codewords(code: CwsCode) -> PauliSum:
     terms = []
     for u, t in enumerate(_signed_counts(code)):
         if t:
-            z, ph = table[u]
-            terms.append(((u, z), Coeff(*_turn(Fraction(t, den), _ZERO, ph))))
+            z, sign = table[u]
+            if (sign + (u & z).bit_count() // 2) & 1:
+                t = -t
+            terms.append(((u, z), Coeff(Fraction(t, den), _ZERO)))
     return PauliSum(n, tuple(terms))
 
 

@@ -8,10 +8,9 @@ where L_a is the Hermitian single-qubit letter selected by the mask bits
 (x bit only -> X, z bit only -> Z, both -> Y, neither -> identity), and
 bit a-1 of a mask belongs to qubit a.  Qubit labels are 1-based on every
 public surface.  The letters obey Y = iXZ, so rewriting an operator in
-the X-before-Z normal form costs one extra factor of i per Y letter;
-that bookkeeping lives in the one helper `_product_phase`, which `mul`,
-the stabilizer table and the KL scan call.  `PauliSum` products apply
-the same rule split into its parts, so a term pair costs one sign bit.
+the X-before-Z normal form X**x Z**z costs one extra factor of i per Y
+letter.  That phase rule lives once, in `mul`; `operatoralg.sum_mul`
+applies it split into its parts, so a term pair costs one sign bit.
 
 Likewise the order of error enumeration is written once, in the mask
 generator `_error_masks`, which yields (x, z) pairs.  The error scans
@@ -75,30 +74,17 @@ def phase_value(k: int) -> complex:
     return _PHASE_VALUES[k % 4]
 
 
-def _product_phase(x1: int, z1: int, x2: int, z2: int) -> int:
-    """Exponent of i picked up when letter strings (x1, z1)(x2, z2) multiply.
-
-    Convert each factor to X-before-Z normal form (one i per Y letter),
-    pick up (-1) for every Z in the left factor that hops over an X in
-    the right one, then convert the product back to letter form.
-    `operatoralg.sum_mul` applies this rule split up: it converts each
-    term once, pays only the hop sign per term pair, and converts each
-    product term back once.
-    """
-    return (
-        (x1 & z1).bit_count()
-        + (x2 & z2).bit_count()
-        + 2 * (z1 & x2).bit_count()
-        - ((x1 ^ x2) & (z1 ^ z2)).bit_count()
-    ) % 4
-
-
 def mul(p: PauliOperator, q: PauliOperator) -> PauliOperator:
-    """Exact operator product p*q."""
+    """Exact operator product p*q: the package's one copy of the Pauli phase rule.
+
+    Each factor turns into X-before-Z normal form (one i per Y letter), each
+    Z of p hopping over an X of q gives -1, and the product turns back to letters.
+    """
     if p.n != q.n:
         raise ValueError("qubit counts differ")
-    phase = p.phase + q.phase + _product_phase(p.x, p.z, q.x, q.z)
-    return PauliOperator(p.n, p.x ^ q.x, p.z ^ q.z, phase)
+    x, z = p.x ^ q.x, p.z ^ q.z
+    phase = p.phase + q.phase + p.y_count + q.y_count + 2 * (p.z & q.x).bit_count()
+    return PauliOperator(p.n, x, z, phase - (x & z).bit_count())
 
 
 def _error_masks(n: int, d: int) -> Iterator[tuple[int, int]]:

@@ -17,7 +17,7 @@ import cwskit
 from cwskit import dense
 
 PACKAGE = Path(cwskit.__file__).resolve().parent
-MASK_HELPERS = {"_stabilizer_table", "_product_phase", "_error_masks", "_stab_element"}
+MASK_HELPERS = {"_stabilizer_table", "mul", "_error_masks", "_stab_element"}
 
 # The nine subcommands, each as one argv.
 COMMANDS = [("paper-demo",), ("verify",), ("distance",), ("patterns",), ("proofcheck",),

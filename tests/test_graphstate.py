@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cwskit._masks import vertices_of
@@ -159,12 +159,30 @@ def test_stabilizer_elements_commute_and_square():
         assert mul(su, su) == identity(9)
 
 
-def test_stabilizer_table_matches_elementwise_products():
-    g = loop_graph(9)
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 10))
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return Graph.from_edges(n, [e for e in pairs if draw(st.booleans())])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(graphs())
+@example(loop_graph(9))
+@example(Graph.from_edges(10, itertools.combinations(range(1, 11), 2)))
+def test_stabilizer_table_matches_elementwise_products(g):
+    # entry u holds the mul-route element's z mask and its normal-form sign,
+    # i**(phase + |u & z|) = (-1)**sign, and that sign is the parity of the
+    # edges inside u, counted from the edge list
     table = _stabilizer_table(g)
-    for m in range(512):
-        s = stabilizer_element(g, [v for v in range(1, 10) if m >> (v - 1) & 1])
-        assert table[m] == (s.z, s.phase)
+    assert len(table) == 1 << g.n
+    for m, (z, sign) in enumerate(table):
+        u = vertices_of(m)
+        s = stabilizer_element(g, u)
+        assert (s.x, s.z) == (m, z)
+        assert sign in (0, 1)
+        assert (s.phase + (m & z).bit_count()) % 4 == 2 * sign
+        assert sign == sum(a in u and b in u for a, b in g.edges()) % 2
 
 
 # --- graph state vector -----------------------------------------------------

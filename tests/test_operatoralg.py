@@ -16,7 +16,7 @@ from cwskit import operatoralg as oa
 from cwskit.cwscode import CwsCode, the_9_12_3
 from cwskit.dense import apply_pauli, apply_sum, dense_matrix, inner_product, state_vector
 from cwskit.graphstate import Graph, loop_graph, stabilizer_element
-from cwskit.pauli import PauliOperator, _product_phase, mul, parse_label, z_on
+from cwskit.pauli import PauliOperator, mul, parse_label, z_on
 
 C = oa.coeff
 
@@ -129,13 +129,13 @@ def test_sum_mul_matches_operator_mul():
 
 
 def test_sum_mul_splits_the_one_phase_rule():
-    # a unit term pair multiplies to i**_product_phase, exhaustively on 2 qubits
+    # a unit term pair multiplies to mul's phase, exhaustively on 2 qubits
     n = 2
     letters = [(x, z) for x in range(4) for z in range(4)]
     for x1, z1 in letters:
         for x2, z2 in letters:
             got = oa.sum_mul(oa.PauliSum(n, (((x1, z1), 1),)), oa.PauliSum(n, (((x2, z2), 1),)))
-            phase = _product_phase(x1, z1, x2, z2)
+            phase = mul(PauliOperator(n, x1, z1), PauliOperator(n, x2, z2)).phase
             assert got.terms == (((x1 ^ x2, z1 ^ z2), C(1).rotated(phase)),)
 
 
