@@ -5,11 +5,14 @@ with 1-based labels and a < b.  Code files: a `graph <ref>` line naming
 the underlying graph, then one codeword line each, comma-separated
 labels with `-` standing for the empty word.  The graph reference is
 the rest of that line, so a path may contain spaces: a path relative to
-the code file, or `builtin:loop<k>` for a loop without a separate file.
+the code file, or `builtin:loop<k>` for a loop without a separate file
+(recorded as `loop<k>` with k a plain integer).
 
-Blank lines and `#` comments are skipped everywhere.  All structural
-complaints carry the file and line they point at.  A vertex count over
-the stabilizer table's cap is refused before any graph is built.
+One reading path, `_read`, decodes, hashes and numbers every file and
+refuses an empty one.  A line ends at a newline only (CRLF is fine), so
+each complaint names the file and the line `grep -n` shows.  Blank lines
+and `#` comments are skipped everywhere.  A vertex count over the
+stabilizer table's cap is refused before any graph is built.
 
 `read_graph` and `read_code` open each file once and return the object
 with its inputs block, hashed from the bytes parsed; `load_*` drop it.
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 from pathlib import Path
-from typing import Iterator
 
 from .cwscode import CwsCode
 from .graphstate import Graph, _check_cap, loop_graph
@@ -40,30 +42,24 @@ def _is_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-def _meaningful_lines(text: str) -> Iterator[tuple[int, str]]:
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield number, line
-
-
-def _read(path: Path) -> tuple[str, dict]:
-    """The file's text plus its inputs record, hashed from the same bytes."""
+def _read(path: Path, kind: str) -> tuple[list[tuple[int, str]], dict]:
+    """The file's numbered non-blank, non-comment lines plus its inputs record."""
     data = path.read_bytes()
     try:
         text = data.decode()
     except UnicodeDecodeError as exc:
         raise FileFormatError(path, data.count(b"\n", 0, exc.start) + 1, str(exc)) from None
-    return text, {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+    numbered = enumerate((raw.strip() for raw in text.split("\n")), start=1)
+    lines = [(number, line) for number, line in numbered if line and not line.startswith("#")]
+    if not lines:
+        raise FileFormatError(path, 1, f"empty {kind} file")
+    return lines, {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def read_graph(path: str | Path) -> tuple[Graph, dict]:
     """The graph in a file plus its inputs block {"graph": record}."""
     path = Path(path)
-    text, record = _read(path)
-    lines = list(_meaningful_lines(text))
-    if not lines:
-        raise FileFormatError(path, 1, "empty graph file")
+    lines, record = _read(path, "graph")
     number, header = lines[0]
     parts = header.split()
     if len(parts) != 2 or parts[0] != "n" or not _is_digits(parts[1]):
@@ -74,7 +70,6 @@ def read_graph(path: str | Path) -> tuple[Graph, dict]:
         _check_cap(n, "table", "graphs")
     except ValueError as exc:
         raise FileFormatError(path, number, str(exc)) from None
-    edges = []
     seen: set[tuple[int, int]] = set()
     for number, line in lines[1:]:
         parts = line.split()
@@ -88,9 +83,8 @@ def read_graph(path: str | Path) -> tuple[Graph, dict]:
         if (a, b) in seen:
             raise FileFormatError(path, number, f"duplicate edge {a} {b}")
         seen.add((a, b))
-        edges.append((a, b))
     try:
-        return Graph.from_edges(n, edges), {"graph": record}
+        return Graph.from_edges(n, seen), {"graph": record}
     except ValueError as exc:
         raise FileFormatError(path, lines[0][0], str(exc)) from exc
 
@@ -115,8 +109,9 @@ def resolve_graph_reference(ref: str, base: Path) -> tuple[Graph, dict]:
         suffix = ref[len(_BUILTIN_PREFIX):]
         if not _is_digits(suffix):
             raise ValueError(f"bad builtin graph reference {ref!r}")
-        _check_cap(int(suffix), "table", "graphs")
-        return loop_graph(int(suffix)), {"builtin": ref[len("builtin:"):]}
+        k = int(suffix)
+        _check_cap(k, "table", "graphs")
+        return loop_graph(k), {"builtin": f"loop{k}"}
     graph, inputs = read_graph(base / ref)  # an absolute ref replaces base
     return graph, inputs["graph"]
 
@@ -142,10 +137,7 @@ def _parse_codeword_line(path: Path, number: int, line: str, n: int) -> frozense
 def read_code(path: str | Path) -> tuple[CwsCode, dict]:
     """The code in a file plus its inputs block {"code": record, "graph": record}."""
     path = Path(path)
-    text, record = _read(path)
-    lines = list(_meaningful_lines(text))
-    if not lines:
-        raise FileFormatError(path, 1, "empty code file")
+    lines, record = _read(path, "code")
     number, header = lines[0]
     ref = header[len("graph "):].strip() if header.startswith("graph ") else ""
     if not ref:
@@ -156,8 +148,7 @@ def read_code(path: str | Path) -> tuple[CwsCode, dict]:
         if isinstance(exc, FileFormatError):
             raise
         raise FileFormatError(path, number, str(exc)) from exc
-    codewords = []
-    seen: dict[frozenset[int], int] = {}
+    seen: dict[frozenset[int], int] = {}  # insertion-ordered: the codewords in file order
     for number, line in lines[1:]:
         word = _parse_codeword_line(path, number, line, graph.n)
         if word in seen:
@@ -165,10 +156,9 @@ def read_code(path: str | Path) -> tuple[CwsCode, dict]:
             raise FileFormatError(
                 path, number, f"duplicate codeword {shown} (first on line {seen[word]})")
         seen[word] = number
-        codewords.append(word)
-    if not codewords:
+    if not seen:
         raise FileFormatError(path, lines[0][0], "no codeword lines")
-    return CwsCode(graph, tuple(codewords)), {"code": record, "graph": graph_record}
+    return CwsCode(graph, tuple(seen)), {"code": record, "graph": graph_record}
 
 
 def load_code(path: str | Path) -> CwsCode:
