@@ -99,6 +99,13 @@ def _budget(text: str) -> float:
     return value
 
 
+def _weight_option(flag: str, value: int, n: int) -> int:
+    """value, or ValueError naming the option when it lies outside 1..n."""
+    if not 1 <= value <= n:
+        raise ValueError(f"{flag} {value} outside 1..{n}")
+    return value
+
+
 def _eprint(*lines: str) -> None:
     for line in lines:
         print(line, file=sys.stderr)
@@ -159,7 +166,7 @@ def _pretty_lines(value, key: str = ""):
 
 
 def _cmd_verify(args, code):
-    report = kl_verify(code, args.weight)
+    report = kl_verify(code, _weight_option("--weight", args.weight, code.n))
     return {
         "passed": report.passed,
         "pure": report.pure,
@@ -171,7 +178,7 @@ def _cmd_verify(args, code):
 
 
 def _cmd_distance(args, code):
-    max_d = args.max if args.max is not None else code.n
+    max_d = code.n if args.max is None else _weight_option("--max", args.max, code.n)
     found, violations = next(
         ((d, v) for d, v, _ in _weight_scans(code, max_d, True) if v), (None, [])
     )
@@ -190,7 +197,7 @@ def _cmd_distance(args, code):
 
 
 def _cmd_patterns(args, g):
-    patterns = error_pattern_set(g, args.weight)
+    patterns = error_pattern_set(g, _weight_option("--weight", args.weight, g.n))
     payload = {
         "passed": True,
         "checked_weight": args.weight,
@@ -207,12 +214,14 @@ def _cmd_patterns(args, g):
 
 def _cmd_proofcheck(args, code):
     passed = proof_check(code)
-    patterns = error_pattern_set(code.graph, 2)
+    # proof_check's weight: no error has weight 2 on one qubit
+    weight = min(2, code.n)
+    patterns = error_pattern_set(code.graph, weight)
     # the reduced transitions of the half-shift argument are the transition set
     transitions = len(transition_set(code))
     return {
         "passed": passed,
-        "checked_weight": 2,
+        "checked_weight": weight,
         "violations": [],
         "counts": {
             "patterns": len(patterns),

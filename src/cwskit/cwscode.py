@@ -16,30 +16,36 @@ it, and D = z(e) + z(s) over GF(2) the induced phase-flip pattern,
 and 0 otherwise, where Z_D e s = i**r with r = 2 sigma - |x(e) & z(e)|.
 So the diagonal is i**r (-1)**|x(e) & c| when D is empty, and the only
 non-zero off-diagonal elements sit on the codeword pairs with transition D.
-Each fact about a code is derived once, on masks.  `CwsCode.masks`
-packs the codewords when the code is built, and every mask-level route
-reads it.  `_diff_pair_map` is the one walk over codeword pairs: the
-scan reads its ordered pairs, and `transition_set` and `proof_check`
-read its keys.  The scans take each error as its (x, z) mask pair from
-`pauli._error_masks`.  `_weight_scans` is the one loop over error
+Each fact about a code is derived at most once per code object, on
+masks, and kept with it.  `CwsCode.masks` packs the codewords when the
+code is built.  `CwsCode.pairs_by_diff`, the one walk over codeword
+pairs, and `CwsCode.signed_counts`, the one transform giving every
+t_u = sum_c (-1)**|u & c|, are computed on first read: the scan reads
+the pairs, `transition_set` and `proof_check` their keys, and the
+projector and the fast enumerator the signed counts.  The scans take
+each error as its (x, z) mask pair from `pauli._error_masks`, at most
+`_SCAN_SLICE` at a time.  `_weight_scans` is the one loop over error
 weights: `kl_verify`, `distance` and the `distance` and `paper-demo`
 commands read it, so each scans a weight at most once.  A
 `PauliOperator` appears only in reports, one per distinct listed error,
 and in `matrix_element`, which computes one element through explicit Pauli
 products and the graph-state overlap; it is the reference the scan is
 tested against.  `proof_check` never touches matrix elements or lists
-errors: on any graph it sums single-qubit patterns up to weight 2 and
-intersects them with the codeword transition set.  The routes must
-agree, and tests hold them to that.
+errors: on any graph it sums single-qubit patterns up to weight 2 (1 on
+a 1-vertex graph) and intersects them with the codeword transition set.
+The routes must agree, and tests hold them to that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
+from operator import add, sub
 from typing import NamedTuple
 
 from ._masks import mask_of, vertices_of
-from .graphstate import Graph, loop_graph, overlap, _stabilizer_table
+from .graphstate import Graph, _check_cap, loop_graph, overlap, _stabilizer_table
 from .pauli import PauliOperator, _error_masks, mul, phase_value, z_on
 # unused since the scans take (x, z) masks; bench/tracing.py patches it here
 from .pauli import enumerate_errors  # noqa: F401
@@ -67,7 +73,8 @@ CODEWORDS_9_12_3: tuple[frozenset[int], ...] = (
 class CwsCode:
     """Graph plus ordered distinct codeword subsets (1-based labels).
 
-    `masks` is the codewords packed in order, outside equality, hash and repr.
+    `masks` is the codewords packed in order, outside equality, hash and
+    repr, as are `pairs_by_diff` and `signed_counts`, kept from first read.
     """
 
     graph: Graph
@@ -97,20 +104,45 @@ class CwsCode:
     def size(self) -> int:
         return len(self.codewords)
 
+    @cached_property
+    def pairs_by_diff(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Off-diagonal index pairs (i, j), in order, keyed by codeword-mask xor.
+
+        Shared by every reader, so read only; a plain dict, so that the
+        code still pickles and copies.
+        """
+        out: dict[int, list[tuple[int, int]]] = {}
+        for i, ci in enumerate(self.masks, start=1):
+            for j, cj in enumerate(self.masks, start=1):
+                if i != j:
+                    out.setdefault(ci ^ cj, []).append((i, j))
+        return {d: tuple(pairs) for d, pairs in out.items()}
+
+    @cached_property
+    def signed_counts(self) -> tuple[int, ...]:
+        """t_u = sum over codewords c of (-1)**|u & c|, for every x mask u.
+
+        The integer Walsh-Hadamard transform of the codeword indicator, in
+        n * 2**n additions, under the stabilizer table's vertex cap.  Each
+        pass is the butterfly on the top index bit, written with its output
+        bit at the bottom (t'[2j] = t[j] + t[j + h], t'[2j + 1] = t[j] - t[j + h]),
+        so the index bits rotate once per pass and are back in place after all n.
+        """
+        _check_cap(self.n, "table", "signed counts")
+        t = [0] * (1 << self.n)
+        for c in self.masks:
+            t[c] = 1
+        h = len(t) >> 1
+        for _ in range(self.n):
+            lo, hi = t[:h], t[h:]
+            t[::2] = map(add, lo, hi)
+            t[1::2] = map(sub, lo, hi)
+        return tuple(t)
+
 
 def the_9_12_3() -> CwsCode:
     """The built-in ((9,12,3)) code on the 9-vertex loop."""
     return CwsCode(loop_graph(9), CODEWORDS_9_12_3)
-
-
-def _diff_pair_map(code: CwsCode) -> dict[int, tuple[tuple[int, int], ...]]:
-    """Off-diagonal index pairs (i, j), in order, keyed by codeword-mask xor."""
-    out: dict[int, list[tuple[int, int]]] = {}
-    for i, ci in enumerate(code.masks, start=1):
-        for j, cj in enumerate(code.masks, start=1):
-            if i != j:
-                out.setdefault(ci ^ cj, []).append((i, j))
-    return {d: tuple(pairs) for d, pairs in out.items()}
 
 
 def matrix_element(code: CwsCode, i: int, j: int, e: PauliOperator) -> complex:
@@ -125,6 +157,9 @@ def matrix_element(code: CwsCode, i: int, j: int, e: PauliOperator) -> complex:
 
 # Violations listed in a report; the count stays exact past it.
 _VIOLATION_CAP = 1000
+
+# Errors listed at a time by a weight scan, so memory stays flat in the weight.
+_SCAN_SLICE = 1 << 16
 
 
 class KLViolation(NamedTuple):
@@ -156,7 +191,7 @@ def _scan_errors(code: CwsCode, errors, collect: bool):
     docstring.
     """
     table = _stabilizer_table(code.graph)
-    pairs_by_diff = _diff_pair_map(code)
+    pairs_by_diff = code.pairs_by_diff
     masks = code.masks
     violations: list[KLViolation] = []
     pure = True
@@ -197,10 +232,24 @@ def _weight_scans(code: CwsCode, max_weight: int, collect: bool):
     """
     if not 1 <= max_weight <= code.n:
         raise ValueError(f"max_weight outside 1..{code.n}")
-    return (
-        (d, *_scan_errors(code, list(_error_masks(code.n, d)), collect))
-        for d in range(1, max_weight + 1)
-    )
+    return (_scan_weight(code, d, collect) for d in range(1, max_weight + 1))
+
+
+def _scan_weight(code: CwsCode, d: int, collect: bool):
+    """(d, violations, pure) over the weight-d errors, listed `_SCAN_SLICE` at a time.
+
+    Without collect the scan stops after the first slice with a violation.
+    """
+    errors = _error_masks(code.n, d)
+    violations: list[KLViolation] = []
+    pure = True
+    while chunk := list(islice(errors, _SCAN_SLICE)):
+        found, chunk_pure = _scan_errors(code, chunk, collect)
+        violations += found
+        pure = pure and chunk_pure
+        if found and not collect:
+            break
+    return d, violations, pure
 
 
 def _kl_report(
@@ -294,17 +343,19 @@ def error_pattern_set(g: Graph, max_weight: int) -> frozenset[frozenset[int]]:
 
 def transition_set(code: CwsCode) -> frozenset[frozenset[int]]:
     """Symmetric differences of all unordered codeword pairs."""
-    return frozenset(vertices_of(m) for m in _diff_pair_map(code))
+    return frozenset(vertices_of(m) for m in code.pairs_by_diff)
 
 
 def proof_check(code: CwsCode) -> bool:
     """Correctability of single-qubit errors by the counting argument, on any graph.
 
-    True iff no weight-<=2 error reduces to an empty pattern and no
-    reduced pattern coincides with a codeword transition.  That is the
-    scalar-matrix condition at weight 2 with every scalar zero, computed
-    without matrix elements, so it agrees with `kl_verify(code, 2)`
+    True iff no error of weight <= w reduces to an empty pattern and no
+    reduced pattern coincides with a codeword transition, with w = 2, or 1
+    on a 1-vertex graph, where no error has weight 2.  That is the
+    scalar-matrix condition at weight w with every scalar zero, computed
+    without matrix elements, so it agrees with `kl_verify(code, w)`
     passing pure.
     """
     g = code.graph
-    return not _empty_pattern_xs(g, 2) and not (_diff_pair_map(code).keys() & _pattern_masks(g, 2))
+    w = min(2, g.n)
+    return not _empty_pattern_xs(g, w) and not (code.pairs_by_diff.keys() & _pattern_masks(g, w))

@@ -20,9 +20,11 @@ the overall 2**-10 carried by the first factor, and as the sum of
 codeword projectors; the two must agree term for term.
 
 `projector_from_codewords` and the fast enumerator read the signed
-codeword counts t_u = sum_c (-1)**|u & c| from one integer
-Walsh-Hadamard transform of the codeword indicator, n * 2**n additions
-(the standard form of Cross, Smith, Smolin and Zeng, arXiv:0708.1021).
+codeword counts t_u = sum_c (-1)**|u & c| as `CwsCode.signed_counts`, a
+fact of the code computed on first read from one integer Walsh-Hadamard
+transform of the codeword indicator, n * 2**n additions, and kept with
+the code (the standard form of Cross, Smith, Smolin and Zeng,
+arXiv:0708.1021).
 
 The weight enumerator A_d, the sum of Tr(P E)**2 over weight-d Paulis E,
 is derived twice too: fast from the signed counts, brute from the
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from operator import add, sub
 from typing import Union
 
 from .cwscode import CwsCode, matrix_element
@@ -282,26 +283,6 @@ def build_projector() -> PauliSum:
     return reduce(sum_mul, (*local, a, sum_add(a, identity_sum(9, 8))))
 
 
-def _signed_counts(code: CwsCode) -> list[int]:
-    """t_u = sum over codewords c of (-1)**|u & c|, for every x mask u.
-
-    The integer Walsh-Hadamard transform of the codeword indicator, in
-    n * 2**n additions.  Each pass is the butterfly on the top index bit,
-    written with its output bit at the bottom (t'[2j] = t[j] + t[j + h],
-    t'[2j + 1] = t[j] - t[j + h]), so the index bits rotate once per pass
-    and are back in place after all n.
-    """
-    t = [0] * (1 << code.n)
-    for c in code.masks:
-        t[c] = 1
-    h = len(t) >> 1
-    for _ in range(code.n):
-        lo, hi = t[:h], t[h:]
-        t[::2] = map(add, lo, hi)
-        t[1::2] = map(sub, lo, hi)
-    return t
-
-
 def projector_from_codewords(code: CwsCode) -> PauliSum:
     """Sum of codeword projectors, expanded in the stabilizer basis.
 
@@ -315,7 +296,7 @@ def projector_from_codewords(code: CwsCode) -> PauliSum:
     table = _stabilizer_table(code.graph)
     den = 1 << n
     terms = []
-    for u, t in enumerate(_signed_counts(code)):
+    for u, t in enumerate(code.signed_counts):
         if t:
             z, sign = table[u]
             if (sign + (u & z).bit_count() // 2) & 1:
@@ -354,7 +335,7 @@ def weight_enumerator(code: CwsCode, method: str = "fast") -> EnumeratorResult:
     if method == "fast":
         table = _stabilizer_table(code.graph)
         a = [0] * (n + 1)
-        for u, t in enumerate(_signed_counts(code)):
+        for u, t in enumerate(code.signed_counts):
             a[(u | table[u][0]).bit_count()] += t * t
         return EnumeratorResult(tuple(a))
     if method == "brute":

@@ -2,6 +2,7 @@
 
 import argparse
 import builtins
+import functools
 import hashlib
 import json
 import random
@@ -325,6 +326,79 @@ def test_proofcheck_builds_the_transition_set_once(capsys, monkeypatch):
     assert doc["payload"]["counts"]["transitions"] == 31
     assert doc["payload"]["counts"]["reduced_transitions"] == 31
     assert calls == [12]
+
+
+# (argv, codeword-pair walks, signed-count transforms) per command
+FACT_DERIVATIONS = [
+    (["paper-demo"], 1, 1),
+    (["verify"], 1, 0),
+    (["verify", "--weight", "4"], 1, 0),
+    (["distance"], 1, 0),
+    (["proofcheck"], 1, 0),
+    (["projector"], 0, 1),
+    (["enumerator"], 0, 1),
+    (["search"], 1, 0),
+    (["patterns"], 0, 0),
+    (["statevec"], 0, 0),
+]
+
+
+@pytest.mark.parametrize("argv, walks, transforms", FACT_DERIVATIONS)
+def test_each_code_derives_its_facts_at_most_once(
+        capsys, monkeypatch, argv, walks, transforms):
+    derived = {"pairs_by_diff": [], "signed_counts": []}
+    for name, codes in derived.items():
+        def counted(code, fn=getattr(CwsCode, name).func, codes=codes):
+            codes.append(code)
+            return fn(code)
+
+        fact = functools.cached_property(counted)
+        fact.__set_name__(CwsCode, name)
+        monkeypatch.setattr(CwsCode, name, fact)
+    run(capsys, *argv)
+    # the lists keep every code alive, so no two codes share an id
+    for name, expected in (("pairs_by_diff", walks), ("signed_counts", transforms)):
+        per_code = Counter(map(id, derived[name]))
+        assert sum(per_code.values()) == expected, name
+        assert set(per_code.values()) <= {1}, name
+
+
+@pytest.fixture
+def one_vertex_code(tmp_path):
+    """A code file with the words - and 1 on the 1-vertex graph one.graph beside it."""
+    (tmp_path / "one.graph").write_text("n 1\n")
+    one = tmp_path / "one.code"
+    one.write_text("graph one.graph\n-\n1\n")
+    return one
+
+
+def test_weight_options_outside_the_input_name_the_option(capsys, one_vertex_code):
+    one = one_vertex_code
+    for argv, message in (
+        (["verify", "--code", str(one)], "--weight 2 outside 1..1"),
+        (["distance", "--code", str(one), "--max", "2"], "--max 2 outside 1..1"),
+        (["patterns", "--graph", str(one.parent / "one.graph")], "--weight 2 outside 1..1"),
+        (["verify", "--weight", "0"], "--weight 0 outside 1..9"),
+        (["verify", "--weight", "10"], "--weight 10 outside 1..9"),
+        (["distance", "--max", "0"], "--max 0 outside 1..9"),
+        (["distance", "--max", "10"], "--max 10 outside 1..9"),
+        (["patterns", "--weight", "10"], "--weight 10 outside 1..9"),
+    ):
+        code, doc, err = run(capsys, *argv)
+        assert (code, doc, err) == (2, None, f"error: {message}\n"), argv
+    # without --max, distance scans up to n: Z1 joins - and 1
+    code, doc, _ = run(capsys, "distance", "--code", str(one))
+    assert code == 0 and doc["payload"]["distance"] == 1
+
+
+def test_proofcheck_runs_on_a_one_vertex_code(capsys, one_vertex_code):
+    code, doc, _ = run(capsys, "proofcheck", "--code", str(one_vertex_code))
+    assert code == 1
+    payload = doc["payload"]
+    # no error has weight 2 on one qubit; X1 reduces to the empty pattern
+    assert payload["passed"] is False and payload["checked_weight"] == 1
+    assert payload["empty_pattern_present"] is True
+    assert payload["counts"] == {"patterns": 2, "transitions": 1, "reduced_transitions": 1}
 
 
 EXIT_RULE_CASES = [

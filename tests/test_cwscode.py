@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings
@@ -107,6 +109,49 @@ def test_masks_pack_the_codewords_in_order():
         CwsCode(loop_graph(9), CODEWORDS_9_12_3, masks=())
     with pytest.raises(AttributeError):
         the_9_12_3().masks = ()
+
+
+def test_code_facts_are_derived_once_outside_equality():
+    rng = random.Random(2803)
+    for _ in range(40):
+        g, words = random_graph_code(rng)
+        code = CwsCode(g, tuple(frozenset(w) for w in words))
+        twin = CwsCode(g, code.codewords)
+        pairs = code.pairs_by_diff
+        every = [(i, j) for i in range(1, code.size + 1) for j in range(1, code.size + 1) if i != j]
+
+        def diff(ij):
+            return code.masks[ij[0] - 1] ^ code.masks[ij[1] - 1]
+
+        assert set(pairs) == {diff(ij) for ij in every}
+        for d, listed in pairs.items():
+            assert listed == tuple(ij for ij in every if diff(ij) == d)
+        # read once, kept with the code, and no part of equality, hash or
+        # repr; a code that has read them still pickles
+        assert code.pairs_by_diff is pairs
+        assert code.signed_counts is code.signed_counts
+        assert twin == code and hash(twin) == hash(code) and repr(twin) == repr(code)
+        assert pickle.loads(pickle.dumps(code)) == code
+    assert [f.name for f in fields(CwsCode)] == ["graph", "codewords", "masks"]
+    with pytest.raises(ValueError, match="signed counts limited to 14 vertices"):
+        CwsCode(loop_graph(15), (frozenset(),)).signed_counts
+
+
+def test_code_facts_do_not_accumulate_over_codes():
+    rng = random.Random(2804)
+    g = loop_graph(10)
+    word_sets = [rng.sample(range(1 << 10), 16) for _ in range(200)]
+    tracemalloc.start()
+    try:
+        for masks in word_sets:
+            code = CwsCode(g, tuple(frozenset(v for v in range(1, 11) if m >> v - 1 & 1)
+                                    for m in masks))
+            assert len(code.pairs_by_diff) <= 120 and len(code.signed_counts) == 1024
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # each code's facts are about 30 KiB, so 200 kept sets would hold about 6 MiB
+    assert held < 2 * 1024 * 1024
 
 
 # --- matrix elements --------------------------------------------------------
@@ -296,6 +341,62 @@ def test_stabilizer_tables_do_not_accumulate_over_graphs():
     assert held < 2 * 1024 * 1024
 
 
+def test_weight_scans_list_errors_a_slice_at_a_time():
+    code = CwsCode(loop_graph(12), (frozenset(),))
+    tracemalloc.start()
+    try:
+        report = kl_verify(code, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and not report.pure
+    # 912,717 errors up to weight 6, 673,596 of them at weight 6; listing a
+    # whole weight at once peaked at about 43 MiB
+    assert peak < 12 * 1024 * 1024
+
+
+def test_sliced_scans_equal_whole_weight_scans(monkeypatch):
+    rng = random.Random(2805)
+    cases = []
+    for k in range(40):
+        n = rng.randint(2, 8)
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        g = Graph.from_edges(n, [pq for pq in pairs if rng.random() < 0.5])
+        # every fourth code has one word, so it never fails and scans every slice
+        size = 1 if k % 4 == 0 else rng.randint(2, min(6, 1 << n))
+        masks = rng.sample(range(1 << n), size)
+        words = tuple(frozenset(v for v in range(1, n + 1) if m >> (v - 1) & 1) for m in masks)
+        cases.append((CwsCode(g, words), rng.randint(1, min(4, n))))
+
+    def outcomes(code, w):
+        scans = {c: list(cwscode._weight_scans(code, w, c)) for c in (True, False)}
+        return kl_verify(code, w), distance(code, w), scans
+
+    whole = [outcomes(code, w) for code, w in cases]
+    lengths = []
+    scan = cwscode._scan_errors
+
+    def counted(code, errors, collect):
+        lengths.append(len(errors))
+        return scan(code, errors, collect)
+
+    monkeypatch.setattr(cwscode, "_SCAN_SLICE", 50)
+    monkeypatch.setattr(cwscode, "_scan_errors", counted)
+    late_witnesses = 0
+    for (code, w), expected in zip(cases, whole):
+        assert outcomes(code, w) == expected, (code, w)
+        # a first violation past the first slice of its weight
+        for d, found, _ in expected[2][False]:
+            if found:
+                late_witnesses += list(_error_masks(code.n, d)).index(found[0].error) >= 50
+    assert max(lengths) == 50 and late_witnesses > 0
+    # and a weight scanned clean over several slices
+    assert any(
+        not found and len(list(_error_masks(code.n, d))) > 50
+        for (code, _), (*_, scans) in zip(cases, whole) for d, found, _ in scans[True]
+    )
+
+
 def test_kl_verify_weight_range_validation(monkeypatch):
     def no_scan(code, errors, collect):
         raise AssertionError("scanned before the weight range was checked")
@@ -425,6 +526,18 @@ def test_proof_check_passes_builtin_code():
 def test_proof_check_rejects_thirteenth_codeword():
     code = CwsCode(loop_graph(9), CODEWORDS_9_12_3 + (frozenset({1}),))
     assert not proof_check(code)
+
+
+def test_proof_check_runs_on_one_vertex_codes():
+    # no error has weight 2 on one qubit, so the argument stops at weight 1:
+    # X1 fixes every word, and Z1 joins - and 1
+    verdicts = []
+    for words in ((frozenset(),), (frozenset({1}),), (frozenset(), frozenset({1}))):
+        code = CwsCode(Graph(1, (0,)), words)
+        report = kl_verify(code, 1)
+        verdicts.append((report.passed, proof_check(code)))
+        assert verdicts[-1][1] == (report.passed and report.pure)
+    assert verdicts == [(True, False), (True, False), (False, False)]
 
 
 def test_proof_check_agrees_with_kl_verdict_on_random_codes():

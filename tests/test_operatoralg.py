@@ -466,14 +466,14 @@ def test_signed_counts_match_their_definition():
         full = 1 << n
         for size in sorted({1, 2, rng.randint(1, full), full}):
             masks = rng.sample(range(full), size)
-            assert oa._signed_counts(code_of(g, masks)) == [
+            assert code_of(g, masks).signed_counts == tuple(
                 sum(-1 if (u & c).bit_count() & 1 else 1 for c in masks) for u in range(full)
-            ], (n, size)
+            ), (n, size)
 
 
 def test_signed_counts_of_the_paper_code_show_its_local_stabilizers():
     code = the_9_12_3()
-    t = oa._signed_counts(code)
+    t = code.signed_counts
     assert Counter(map(abs, t)) == {0: 336, 4: 120, 8: 48, 12: 8}
     # t_u = K exactly when G_u fixes every codeword: the group generated by
     # the paper's G_62, G_38 and G_95
@@ -528,7 +528,7 @@ def test_weight_enumerator_brute_runs_to_the_table_cap(monkeypatch):
     def refused(code):
         raise AssertionError("signed counts listed past the cap")
 
-    monkeypatch.setattr(oa, "_signed_counts", refused)
+    monkeypatch.setattr(CwsCode, "signed_counts", property(refused))
     big = CwsCode(loop_graph(15), (frozenset(),))
     for build in (oa.projector_from_codewords, lambda c: oa.weight_enumerator(c, "fast"),
                   lambda c: oa.weight_enumerator(c, "brute")):
