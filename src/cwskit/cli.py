@@ -7,14 +7,14 @@ payload.  The document is byte for byte `json.dumps(report, indent=2)`
 and one newline.  `_json_text` lays it out into one list, which is
 joined once and written once: with `indent` set, `json.dumps` takes
 the stdlib's pure-Python encoder, which spends more than twice as long
-on a report of a few hundred violation rows.  `main` reads each
-command's code or graph, from its file through `files` or the builtin,
-before the handler runs, and it alone sets the exit code.  It parses
-with one parser per process, built by its first call.  `--pretty` also
+on a report of a few hundred violation rows.  One table, `_COMMANDS`,
+declares each subcommand's input (code, graph or neither), handler and
+options; `main` reads the input its row declares, from a file or the
+builtin, before the handler runs, sets the exit code alone, and builds
+its one parser from the table on its first call.  `--pretty` also
 prints the payload's fields on standard error, one `key: value` line
 each (nested keys dotted, a list by its length), so it cannot disagree
-with the JSON.  `paper-demo` always prints its pass/fail table there,
-with or without `--pretty`.
+with the JSON.  `paper-demo` always prints its pass/fail table there.
 
 Exit codes: 0 pass, 1 when `payload["passed"]` is false, 2 malformed input.
 """
@@ -58,14 +58,14 @@ from .search import SearchConfig, compatibility_search, empty_pattern_present
 
 
 def _read_input(args) -> tuple:
-    """The command's graph if it takes `--graph`, else its code, plus the inputs block."""
-    if "graph" in args:
+    """The input the command's row declares, from its file or builtin, and its inputs block."""
+    if args.input == "graph":
         if args.graph is None:
             return loop_graph(9), {"graph": {"builtin": "loop9"}}
         return read_graph(args.graph)
-    if getattr(args, "code", None) is None:  # paper-demo takes no --code
-        return the_9_12_3(), {"code": {"builtin": "the_9_12_3"}}
-    return read_code(args.code)
+    if args.input == "code" and args.code is not None:
+        return read_code(args.code)
+    return the_9_12_3(), {"code": {"builtin": "the_9_12_3"}}
 
 
 # a violation value is phase_value of an int, so always a unit
@@ -99,10 +99,10 @@ def _budget(text: str) -> float:
     return value
 
 
-def _weight_option(flag: str, value: int, n: int) -> int:
-    """value, or ValueError naming the option when it lies outside 1..n."""
-    if not 1 <= value <= n:
-        raise ValueError(f"{flag} {value} outside 1..{n}")
+def _weight_option(flag: str, value: int, low: int, high: int) -> int:
+    """value, or ValueError naming the option when it lies outside low..high."""
+    if not low <= value <= high:
+        raise ValueError(f"{flag} {value} outside {low}..{high}")
     return value
 
 
@@ -166,7 +166,7 @@ def _pretty_lines(value, key: str = ""):
 
 
 def _cmd_verify(args, code):
-    report = kl_verify(code, _weight_option("--weight", args.weight, code.n))
+    report = kl_verify(code, _weight_option("--weight", args.weight, 1, code.n))
     return {
         "passed": report.passed,
         "pure": report.pure,
@@ -178,7 +178,7 @@ def _cmd_verify(args, code):
 
 
 def _cmd_distance(args, code):
-    max_d = code.n if args.max is None else _weight_option("--max", args.max, code.n)
+    max_d = code.n if args.max is None else _weight_option("--max", args.max, 1, code.n)
     found, violations = next(
         ((d, v) for d, v, _ in _weight_scans(code, max_d, True) if v), (None, [])
     )
@@ -197,7 +197,7 @@ def _cmd_distance(args, code):
 
 
 def _cmd_patterns(args, g):
-    patterns = error_pattern_set(g, _weight_option("--weight", args.weight, g.n))
+    patterns = error_pattern_set(g, _weight_option("--weight", args.weight, 1, g.n))
     payload = {
         "passed": True,
         "checked_weight": args.weight,
@@ -282,13 +282,14 @@ def _cmd_statevec(args, g):
 
 
 def _cmd_search(args, g):
+    _weight_option("--distance", args.distance, 2, g.n + 1)
+    if args.min_size < 1:
+        raise ValueError(f"--min-size {args.min_size} below 1")
     cfg = SearchConfig(
         graph=g,
         target_distance=args.distance,
         time_budget=args.budget,
     )
-    if args.min_size < 1:
-        raise ValueError("min_size must be at least 1")
     result = compatibility_search(cfg)
     # a code file resolves its graph relative to itself, so name the graph absolutely
     graph_ref = f"builtin:loop{g.n}" if args.graph is None else str(Path(args.graph).absolute())
@@ -361,6 +362,33 @@ def _cmd_paper_demo(args, code):
     return payload
 
 
+_INPUT_HELP = {
+    "code": "code file (default: the builtin ((9,12,3)) code)",
+    "graph": "graph file (default: the builtin 9-vertex loop)",
+}
+
+# One row per subcommand: name, help, the input it reads (a key of `_INPUT_HELP`,
+# or None for the builtin code), handler, and its options as (flag, type, default, help).
+_COMMANDS = (
+    ("verify", "check the error conditions up to a weight", "code", _cmd_verify,
+     [("--weight", int, 2, "maximum error weight")]),
+    ("distance", "first error weight that breaks the conditions", "code", _cmd_distance,
+     [("--max", int, None, "largest weight to scan")]),
+    ("patterns", "phase-flip patterns reachable by small errors", "graph", _cmd_patterns,
+     [("--weight", int, 2, "maximum error weight")]),
+    ("proofcheck", "pattern/transition disjointness argument", "code", _cmd_proofcheck, []),
+    ("projector", "exact code projector and its laws", "code", _cmd_projector, []),
+    ("enumerator", "weight enumerator of the code projector", "code", _cmd_enumerator, []),
+    ("statevec", "graph state amplitudes as exact signs", "graph", _cmd_statevec, []),
+    ("search", "look for large codeword sets on a graph", "graph", _cmd_search, [
+        ("--distance", int, 3, "target distance"),
+        ("--min-size", int, 1, "size the result must reach to pass"),
+        ("--budget", _budget, SearchConfig.time_budget, "time budget, e.g. 60s"),
+    ]),
+    ("paper-demo", "run the full ((9,12,3)) reproduction", None, _cmd_paper_demo, []),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cwskit",
@@ -368,57 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"cwskit {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, code=False, graph=False):
-        if code:
-            p.add_argument("--code", help="code file (default: the builtin ((9,12,3)) code)")
-        if graph:
-            p.add_argument("--graph", help="graph file (default: the builtin 9-vertex loop)")
+    for name, help_text, source, handler, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if source is not None:
+            p.add_argument(f"--{source}", help=_INPUT_HELP[source])
         p.add_argument("--pretty", action="store_true", help="payload fields on stderr")
-
-    p = sub.add_parser("verify", help="check the error conditions up to a weight")
-    common(p, code=True)
-    p.add_argument("--weight", type=int, default=2, help="maximum error weight")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("distance", help="first error weight that breaks the conditions")
-    common(p, code=True)
-    p.add_argument("--max", type=int, default=None, help="largest weight to scan")
-    p.set_defaults(handler=_cmd_distance)
-
-    p = sub.add_parser("patterns", help="phase-flip patterns reachable by small errors")
-    common(p, graph=True)
-    p.add_argument("--weight", type=int, default=2, help="maximum error weight")
-    p.set_defaults(handler=_cmd_patterns)
-
-    p = sub.add_parser("proofcheck", help="pattern/transition disjointness argument")
-    common(p, code=True)
-    p.set_defaults(handler=_cmd_proofcheck)
-
-    p = sub.add_parser("projector", help="exact code projector and its laws")
-    common(p, code=True)
-    p.set_defaults(handler=_cmd_projector)
-
-    p = sub.add_parser("enumerator", help="weight enumerator of the code projector")
-    common(p, code=True)
-    p.set_defaults(handler=_cmd_enumerator)
-
-    p = sub.add_parser("statevec", help="graph state amplitudes as exact signs")
-    common(p, graph=True)
-    p.set_defaults(handler=_cmd_statevec)
-
-    p = sub.add_parser("search", help="look for large codeword sets on a graph")
-    common(p, graph=True)
-    p.add_argument("--distance", type=int, default=3, help="target distance")
-    p.add_argument("--min-size", type=int, default=1, help="size the result must reach to pass")
-    p.add_argument("--budget", type=_budget, default=SearchConfig.time_budget,
-                   help="time budget, e.g. 60s")
-    p.set_defaults(handler=_cmd_search)
-
-    p = sub.add_parser("paper-demo", help="run the full ((9,12,3)) reproduction")
-    common(p)
-    p.set_defaults(handler=_cmd_paper_demo)
-
+        for flag, kind, default, option_help in options:
+            p.add_argument(flag, type=kind, default=default, help=option_help)
+        p.set_defaults(handler=handler, input=source)
     return parser
 
 

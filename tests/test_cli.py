@@ -593,7 +593,7 @@ def test_removed_strategy_option_exits_two(capsys):
 def test_search_distance_beyond_n_plus_one_exits_two(capsys):
     code, doc, err = run(capsys, "search", "--distance", "11")
     assert code == 2 and doc is None
-    assert "error: target_distance outside 2..10" in err
+    assert "error: --distance 11 outside 2..10" in err
 
 
 def test_search_unreachable_min_size_exits_one(capsys):
@@ -606,7 +606,7 @@ def test_search_unreachable_min_size_exits_one(capsys):
 def test_search_min_size_below_one_exits_two(capsys):
     code, doc, err = run(capsys, "search", "--min-size", "0")
     assert code == 2 and doc is None
-    assert "error: min_size must be at least 1" in err
+    assert "error: --min-size 0 below 1" in err
 
 
 def test_paper_demo_all_green(capsys):
@@ -751,6 +751,72 @@ def test_one_parser_serves_every_call_and_keeps_no_state(capsys, monkeypatch):
     assert after == before
     assert len(built) == 1
     assert build() is not build()
+
+
+def declared_inputs():
+    """Each subcommand the parser declares, with the input its defaults name."""
+    parser = cli.build_parser()
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: parser.parse_args([name]).input for name in sub.choices}
+
+
+def test_command_lists_name_every_declared_subcommand_and_its_input():
+    # the exit-rule, inputs and stderr checks loop over these lists, so a
+    # subcommand missing from them would skip those checks
+    listed = {**dict.fromkeys(CODE_COMMANDS, "code"), **dict.fromkeys(GRAPH_COMMANDS, "graph"),
+              "paper-demo": None}
+    assert len(listed) == len(CODE_COMMANDS) + len(GRAPH_COMMANDS) + 1
+    assert declared_inputs() == listed
+
+
+PARSED = {
+    "verify": {"code": None, "weight": 2, "input": "code", "handler": cli._cmd_verify},
+    "distance": {"code": None, "max": None, "input": "code", "handler": cli._cmd_distance},
+    "patterns": {"graph": None, "weight": 2, "input": "graph", "handler": cli._cmd_patterns},
+    "proofcheck": {"code": None, "input": "code", "handler": cli._cmd_proofcheck},
+    "projector": {"code": None, "input": "code", "handler": cli._cmd_projector},
+    "enumerator": {"code": None, "input": "code", "handler": cli._cmd_enumerator},
+    "statevec": {"graph": None, "input": "graph", "handler": cli._cmd_statevec},
+    "search": {"graph": None, "distance": 3, "min_size": 1, "budget": 60.0, "input": "graph",
+               "handler": cli._cmd_search},
+    "paper-demo": {"input": None, "handler": cli._cmd_paper_demo},
+}
+
+
+def test_each_subcommand_parses_to_its_defaults_input_and_handler():
+    assert set(PARSED) == set(declared_inputs())
+    for name, fields in PARSED.items():
+        parsed = vars(cli.build_parser().parse_args([name]))
+        assert parsed == {"subcommand": name, "pretty": False, **fields}, name
+
+
+def test_each_command_reads_only_the_file_its_option_names(capsys, monkeypatch):
+    reads = Counter()
+
+    def counted(kind, read):
+        def counting(path):
+            reads[kind, path] += 1
+            return read(path)
+        return counting
+
+    monkeypatch.setattr(cli, "read_code", counted("code", cli.read_code))
+    monkeypatch.setattr(cli, "read_graph", counted("graph", cli.read_graph))
+    code_file, graph_file = str(DATA / "code_9_12_3.code"), str(DATA / "loop9.graph")
+    runs = [([command], {}) for command in ("paper-demo", *CODE_COMMANDS, *GRAPH_COMMANDS)]
+    runs += [([c, "--code", code_file], {("code", code_file): 1}) for c in CODE_COMMANDS]
+    runs += [([c, "--graph", graph_file], {("graph", graph_file): 1}) for c in GRAPH_COMMANDS]
+    for argv, expected in runs:
+        reads.clear()
+        code, doc, _ = run(capsys, *argv)
+        assert code == 0 and doc is not None, argv
+        assert reads == Counter(expected), argv
+    # paper-demo takes neither option, so it cannot be pointed at a file
+    reads.clear()
+    for option, path in (("--code", code_file), ("--graph", graph_file)):
+        with pytest.raises(SystemExit) as info:
+            main(["paper-demo", option, path])
+        assert info.value.code == 2 and not reads, option
+    capsys.readouterr()
 
 
 def json_text(value):

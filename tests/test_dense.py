@@ -4,6 +4,7 @@ The exact checks must run without numpy, and the oracle must share none
 of the mask arithmetic it is compared against.
 """
 
+import argparse
 import ast
 import json
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import cwskit
+import cwskit.cli
 from cwskit import dense
 
 PACKAGE = Path(cwskit.__file__).resolve().parent
@@ -112,6 +114,13 @@ def test_dense_names_stay_public():
         getattr(cwskit, name)
     with pytest.raises(AttributeError):
         cwskit.apply_pauli
+
+
+def test_commands_name_every_subcommand():
+    # the numpy checks run COMMANDS, so a subcommand missing from it skips them
+    parser = cwskit.cli.build_parser()
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(argv[0] for argv in COMMANDS) == sorted(sub.choices)
 
 
 def test_every_command_runs_without_numpy():
