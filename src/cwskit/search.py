@@ -11,12 +11,13 @@ come from `cwscode`, the one module that knows the pattern rule.
 Two candidates a and b are compatible exactly when a ^ b is 0 or a
 candidate, so a's bitset row is the candidate bitmap translated by a.
 Branch and bound builds the rows that way, gathers them into the order it
-branches in, and at each node colours the pool greedily but lists only
-the colours that can still beat the incumbent (Tomita's kmin rule).  The
-branch order and the incumbent rule fix the result, so an exhausted
-search always returns the same words.  The time budget is read once per
-row built, once per row gathered and once per node.  The forbidden set
-before them lists no errors; only the closing `certify` is unbudgeted.
+branches in, and runs as one loop over a list of open nodes.  Each opened
+node colours its pool greedily but lists only the colours that can still
+beat the incumbent (Tomita's kmin rule).  The branch order and the
+incumbent rule fix the result, so an exhausted search always returns the
+same words.  The time budget is read once per row built, once per row
+gathered and once per opened node.  The forbidden set before them lists
+no errors; only the closing `certify` is unbudgeted.
 
 Found sets are never trusted: `certify` reruns the full verifier.
 """
@@ -130,14 +131,16 @@ def _max_clique_masks(
     The rows come from `_compatible_rows`, so `candidates` must be every
     non-zero mask outside `forbidden`, in ascending order; `forbidden` itself
     is not read.  The rows are gathered into branch order: compatibility
-    degree descending, ties in ascending mask order.  Each node colours its
-    pool greedily and lists only the vertices whose colour could still lift
-    the clique past the incumbent (Tomita's kmin rule); the others are never
-    branched on.  The incumbent changes only on a strictly larger clique.
+    degree descending, ties in ascending mask order.  The open nodes are
+    held in a list, so a clique of any size is reachable, not only one as
+    deep as the call stack.  Each opened node colours its pool greedily and
+    lists only the vertices whose colour could still lift the clique past
+    the incumbent (Tomita's kmin rule); it closes once its highest listed
+    colour cannot.  The incumbent changes only on a strictly larger clique.
     The budget is read once per row built, once per row gathered and once
-    per node; a budget that ends before the rows are gathered returns the
-    seed itself.  The run is single-threaded, so an exhausted run is
-    reproducible bit for bit.
+    per opened node; a budget that ends before the rows are gathered
+    returns the seed itself.  The run is single-threaded, so an exhausted
+    run is reproducible bit for bit.
     """
     if not candidates:
         return [], True
@@ -166,57 +169,54 @@ def _max_clique_masks(
         rest.append(full ^ row)
 
     best = seed
+    # the open nodes, root first: [pool, listed (colour, vertex) pairs],
+    # the next branch last; current[i] is the branch that opened node i + 1
+    nodes: list[list] = []
     current: list[int] = []
-    timed_out = False
-
-    def color_sort(pool: int, kmin: int) -> tuple[list[int], list[int]]:
-        # colours up to kmin cannot lift the clique past best, so their
-        # vertices are coloured but not listed
-        sequence: list[int] = []
-        bounds: list[int] = []
-        color = 0
-        uncolored = pool
-        while uncolored:
-            color += 1
-            classable = uncolored
-            if color <= kmin:
+    narrowed = full
+    while True:
+        if narrowed:
+            if time.monotonic() > deadline:
+                return sorted(best), False
+            # colours up to kmin cannot lift the clique past best, so their
+            # vertices are coloured but not listed
+            kmin = len(best) - len(current)
+            listed: list[tuple[int, int]] = []
+            color = 0
+            uncolored = narrowed
+            while uncolored:
+                color += 1
+                classable = uncolored
+                if color <= kmin:
+                    while classable:
+                        low = classable & -classable
+                        classable &= rest[low.bit_length() - 1]
+                        uncolored ^= low
+                    continue
                 while classable:
                     low = classable & -classable
-                    classable &= rest[low.bit_length() - 1]
+                    v = low.bit_length() - 1
+                    listed.append((color, v))
+                    classable &= rest[v]
                     uncolored ^= low
-                continue
-            while classable:
-                low = classable & -classable
-                v = low.bit_length() - 1
-                sequence.append(v)
-                bounds.append(color)
-                classable &= rest[v]
-                uncolored ^= low
-        return sequence, bounds
-
-    def expand(pool: int) -> None:
-        nonlocal best, timed_out
-        if time.monotonic() > deadline:
-            timed_out = True
-            return
-        sequence, bounds = color_sort(pool, len(best) - len(current))
-        for k in range(len(sequence) - 1, -1, -1):
-            if len(current) + bounds[k] <= len(best):
-                return
-            v = sequence[k]
-            current.append(v)
-            narrowed = pool & adj[v]
-            if narrowed:
-                expand(narrowed)
-            elif len(current) > len(best):
+            nodes.append([narrowed, listed])
+        pool, listed = node = nodes[-1]
+        if not listed or len(current) + listed[-1][0] <= len(best):
+            # no listed colour can lift the clique past best
+            nodes.pop()
+            if not nodes:
+                return sorted(best), True
+            nodes[-1][0] ^= 1 << current.pop()
+            narrowed = 0
+            continue
+        v = listed.pop()[1]
+        current.append(v)
+        narrowed = pool & adj[v]
+        if not narrowed:
+            if len(current) > len(best):
                 best = [words[u] for u in current]
             current.pop()
-            if timed_out:
-                return
-            pool ^= 1 << v
-
-    expand(full)
-    return sorted(best), not timed_out
+            node[0] = pool ^ 1 << v
 
 
 def compatibility_search(cfg: SearchConfig) -> SearchResult:

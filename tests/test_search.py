@@ -1,6 +1,7 @@
 """Forbidden differences and the clique search over candidate codewords."""
 
 import random
+import sys
 import time
 from itertools import combinations
 from operator import itemgetter
@@ -172,6 +173,24 @@ def test_budget_holds_while_the_rows_are_gathered(monkeypatch):
     assert next(ticks, None) is None
 
 
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # the loop-9, distance-2 search starts from a 64-word greedy seed and
+    # at once follows branches about as deep; a recursive branch and bound
+    # spends one frame per branch word, so 60 frames above the caller's
+    # raise RecursionError, while the loop needs the same frames at any depth
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        r = compatibility_search(SearchConfig(loop_graph(9), 2, time_budget=0.5))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert r.certified
+    assert r.size >= 64
+
+
 def _bron_kerbosch_maximum(adjacent: dict[int, set[int]]) -> int:
     """Size of a largest clique, by Bron–Kerbosch with pivoting."""
     best = 0
@@ -192,8 +211,9 @@ def _bron_kerbosch_maximum(adjacent: dict[int, set[int]]) -> int:
 
 
 # The clique search as it stood before its rows came from translated
-# bitmaps and its colour sort listed only colours that can branch: each
-# pair tested once against `forbidden`, every coloured vertex listed.
+# bitmaps, its colour sort listed only colours that can branch and its
+# branch and bound became one loop: each pair tested once against
+# `forbidden`, every coloured vertex listed, one recursive call per node.
 # Kept verbatim as the reference the faster search must match exactly.
 def _reference_max_clique_masks(
     candidates: list[int],
@@ -282,6 +302,11 @@ def test_clique_search_matches_the_reference_search():
         # distance 2 above n = 6 can run for seconds, so it stays at n <= 6
         cases.append((_random_graph(rng, n, 0.5), rng.choice((2, 3)) if n <= 6 else 3))
     assert {d for g, d in cases[3:]} == {2, 3}
+    # loops 5-8 at distance 2 exhaust at 6, 16, 22 and 64 words, so the
+    # search unwinds through trees up to 64 levels deep
+    loop_sizes = {5: 6, 6: 16, 7: 22, 8: 64}
+    cases += [(loop_graph(n), 2) for n in loop_sizes]
+    sizes = {}
     for g, d in cases:
         forbidden = search._forbidden_masks(g, d - 1)
         candidates = [m for m in range(1, 1 << g.n) if m not in forbidden]
@@ -290,6 +315,8 @@ def test_clique_search_matches_the_reference_search():
         expected = _reference_max_clique_masks(candidates, forbidden, seed, deadline)
         assert expected[1], (g, d)
         assert search._max_clique_masks(candidates, forbidden, seed, deadline) == expected, (g, d)
+        sizes[g, d] = len(expected[0]) + 1
+    assert {n: sizes[loop_graph(n), 2] for n in loop_sizes} == loop_sizes
 
 
 def test_exhausted_search_is_a_maximum_clique():
