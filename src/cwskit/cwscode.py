@@ -18,10 +18,10 @@ So the diagonal is i**r (-1)**|x(e) & c| when D is empty, and the only
 non-zero off-diagonal elements sit on the codeword pairs with transition D.
 Each fact about a code is derived at most once per code object, on
 masks, and kept with it.  `CwsCode.masks` packs the codewords when the
-code is built.  `CwsCode.pairs_by_diff`, the one walk over codeword
-pairs, and `CwsCode.signed_counts`, the one transform giving every
-t_u = sum_c (-1)**|u & c|, are computed on first read: the scan reads
-the pairs, `transition_set` and `proof_check` their keys, and the
+code is built.  `CwsCode.transitions`, the set of codeword-mask xors,
+and `CwsCode.signed_counts`, the one transform giving every
+t_u = sum_c (-1)**|u & c|, are computed on first read: the scan,
+`transition_set` and `proof_check` read the transitions, and the
 projector and the fast enumerator the signed counts.  The scans take
 each error as its (x, z) mask pair from `pauli._error_masks`, at most
 `_SCAN_SLICE` at a time.  `_weight_scans` is the one loop over error
@@ -74,7 +74,7 @@ class CwsCode:
     """Graph plus ordered distinct codeword subsets (1-based labels).
 
     `masks` is the codewords packed in order, outside equality, hash and
-    repr, as are `pairs_by_diff` and `signed_counts`, kept from first read.
+    repr, as are `transitions` and `signed_counts`, kept from first read.
     """
 
     graph: Graph
@@ -105,18 +105,12 @@ class CwsCode:
         return len(self.codewords)
 
     @cached_property
-    def pairs_by_diff(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """Off-diagonal index pairs (i, j), in order, keyed by codeword-mask xor.
-
-        Shared by every reader, so read only; a plain dict, so that the
-        code still pickles and copies.
-        """
-        out: dict[int, list[tuple[int, int]]] = {}
-        for i, ci in enumerate(self.masks, start=1):
-            for j, cj in enumerate(self.masks, start=1):
-                if i != j:
-                    out.setdefault(ci ^ cj, []).append((i, j))
-        return {d: tuple(pairs) for d, pairs in out.items()}
+    def transitions(self) -> frozenset[int]:
+        """The non-zero xors of codeword masks, at most min(K**2, 2**n) ints."""
+        out: set[int] = set()
+        for i, c in enumerate(self.masks, start=1):
+            out.update(map(c.__xor__, self.masks[i:]))
+        return frozenset(out)
 
     @cached_property
     def signed_counts(self) -> tuple[int, ...]:
@@ -188,11 +182,12 @@ def _scan_errors(code: CwsCode, errors, collect: bool):
     carries its pair as `error`.  With collect false the scan stops at
     the first violation, recording a single witness.  The reference
     scalar is M[1][1].  Elements come from the closed form in the module
-    docstring.
+    docstring; the pairs with transition D are the (i, j) with c_j = c_i ^ D.
     """
     table = _stabilizer_table(code.graph)
-    pairs_by_diff = code.pairs_by_diff
+    transitions = code.transitions
     masks = code.masks
+    index = {c: j for j, c in enumerate(masks, start=1)}
     violations: list[KLViolation] = []
     pure = True
     for e in errors:
@@ -209,8 +204,12 @@ def _scan_errors(code: CwsCode, errors, collect: bool):
                 for i, c in enumerate(masks, start=1)
                 if (ex & c).bit_count() & 1 != first
             ]
+        elif diff in transitions:
+            pairs = [
+                (i, index[c ^ diff]) for i, c in enumerate(masks, start=1) if c ^ diff in index
+            ]
         else:
-            pairs = pairs_by_diff.get(diff, ())
+            continue
         if not pairs:
             continue
         # Z_diff e s has no letters left, so only its phase i**r remains
@@ -343,7 +342,7 @@ def error_pattern_set(g: Graph, max_weight: int) -> frozenset[frozenset[int]]:
 
 def transition_set(code: CwsCode) -> frozenset[frozenset[int]]:
     """Symmetric differences of all unordered codeword pairs."""
-    return frozenset(vertices_of(m) for m in code.pairs_by_diff)
+    return frozenset(map(vertices_of, code.transitions))
 
 
 def proof_check(code: CwsCode) -> bool:
@@ -358,4 +357,4 @@ def proof_check(code: CwsCode) -> bool:
     """
     g = code.graph
     w = min(2, g.n)
-    return not _empty_pattern_xs(g, w) and not (code.pairs_by_diff.keys() & _pattern_masks(g, w))
+    return not _empty_pattern_xs(g, w) and code.transitions.isdisjoint(_pattern_masks(g, w))

@@ -346,7 +346,7 @@ FACT_DERIVATIONS = [
 @pytest.mark.parametrize("argv, walks, transforms", FACT_DERIVATIONS)
 def test_each_code_derives_its_facts_at_most_once(
         capsys, monkeypatch, argv, walks, transforms):
-    derived = {"pairs_by_diff": [], "signed_counts": []}
+    derived = {"transitions": [], "signed_counts": []}
     for name, codes in derived.items():
         def counted(code, fn=getattr(CwsCode, name).func, codes=codes):
             codes.append(code)
@@ -357,7 +357,7 @@ def test_each_code_derives_its_facts_at_most_once(
         monkeypatch.setattr(CwsCode, name, fact)
     run(capsys, *argv)
     # the lists keep every code alive, so no two codes share an id
-    for name, expected in (("pairs_by_diff", walks), ("signed_counts", transforms)):
+    for name, expected in (("transitions", walks), ("signed_counts", transforms)):
         per_code = Counter(map(id, derived[name]))
         assert sum(per_code.values()) == expected, name
         assert set(per_code.values()) <= {1}, name

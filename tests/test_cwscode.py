@@ -93,6 +93,12 @@ def random_graph_code(rng):
     return g, [[v for v in range(1, n + 1) if m >> (v - 1) & 1] for m in masks]
 
 
+def every_word_code(g):
+    """The code on g whose words are all 2**n vertex subsets, in mask order."""
+    return CwsCode(g, tuple(frozenset(v for v in range(1, g.n + 1) if m >> (v - 1) & 1)
+                            for m in range(1 << g.n)))
+
+
 def test_masks_pack_the_codewords_in_order():
     rng = random.Random(17)
     for _ in range(60):
@@ -117,18 +123,12 @@ def test_code_facts_are_derived_once_outside_equality():
         g, words = random_graph_code(rng)
         code = CwsCode(g, tuple(frozenset(w) for w in words))
         twin = CwsCode(g, code.codewords)
-        pairs = code.pairs_by_diff
-        every = [(i, j) for i in range(1, code.size + 1) for j in range(1, code.size + 1) if i != j]
-
-        def diff(ij):
-            return code.masks[ij[0] - 1] ^ code.masks[ij[1] - 1]
-
-        assert set(pairs) == {diff(ij) for ij in every}
-        for d, listed in pairs.items():
-            assert listed == tuple(ij for ij in every if diff(ij) == d)
+        transitions = code.transitions
+        pairs = [(a, b) for a in code.masks for b in code.masks]
+        assert transitions == {a ^ b for a, b in pairs} - {0}
         # read once, kept with the code, and no part of equality, hash or
         # repr; a code that has read them still pickles
-        assert code.pairs_by_diff is pairs
+        assert code.transitions is transitions
         assert code.signed_counts is code.signed_counts
         assert twin == code and hash(twin) == hash(code) and repr(twin) == repr(code)
         assert pickle.loads(pickle.dumps(code)) == code
@@ -146,7 +146,7 @@ def test_code_facts_do_not_accumulate_over_codes():
         for masks in word_sets:
             code = CwsCode(g, tuple(frozenset(v for v in range(1, 11) if m >> v - 1 & 1)
                                     for m in masks))
-            assert len(code.pairs_by_diff) <= 120 and len(code.signed_counts) == 1024
+            assert len(code.transitions) <= 120 and len(code.signed_counts) == 1024
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -256,6 +256,8 @@ def kl_scan_codes(draw):
 # degenerate and passing: the ((5,2,3)) ring code beside an isolated vertex 6
 @example(CwsCode(Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]),
                  (frozenset(), frozenset({1, 2, 3, 4, 5}))))
+# all eight words on the 3-vertex path: every difference is a transition
+@example(every_word_code(Graph.from_edges(3, [(1, 2), (2, 3)])))
 def test_kl_scan_matches_matrix_elements_on_random_graphs(code):
     # Expected reports are built from matrix_element alone: diagonal
     # entries that differ from M[1][1] and non-zero off-diagonal entries,
@@ -301,6 +303,22 @@ def test_violation_cap_keeps_exact_count():
     assert report.violations == tuple(
         v._replace(error=PauliOperator(9, *v.error)) for v in scanned[:1000]
     )
+
+
+def test_every_word_on_a_loop_scans_without_a_pair_map():
+    # no weight-1 error on a loop has an empty pattern, and with all 1,024
+    # words every pattern is a transition joining each word to a partner;
+    # the scan holds the transition set, not the K**2 codeword pairs
+    code = every_word_code(loop_graph(10))
+    tracemalloc.start()
+    try:
+        report = kl_verify(code, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.violation_count == 3 * 10 * 1024
+    assert len(report.violations) == 1000 and report.violations_capped
+    assert peak < 16 * 1024 * 1024
 
 
 def test_scans_build_operators_only_for_reported_violations(monkeypatch):
@@ -506,9 +524,11 @@ def test_reduced_transitions_match_frozen_table():
 
 def test_transition_set_is_every_unordered_pair_difference():
     rng = random.Random(29)
-    for _ in range(40):
-        g, words = random_graph_code(rng)
-        code = CwsCode(g, tuple(frozenset(w) for w in words))
+    codes = [CwsCode(g, tuple(map(frozenset, words)))
+             for g, words in (random_graph_code(rng) for _ in range(40))]
+    # one word has no transition, and all 2**n words have every non-empty one
+    codes += [CwsCode(loop_graph(5), (frozenset({2}),)), every_word_code(loop_graph(5))]
+    for code in codes:
         c = code.codewords
         brute = {c[i] ^ c[j] for i in range(len(c)) for j in range(i + 1, len(c))}
         assert transition_set(code) == brute
